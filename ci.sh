@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q --workspace
+# The repo benchmark harness is its own workspace; its tests pin the
+# `oeb_bench::profile` API it consumes (trace parsing, utilization).
+cargo test --release --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Optional: Miri over the concurrency-sensitive tests — the oeb-trace
@@ -34,11 +37,11 @@ cargo fmt --check
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
-# Static invariant gate (oeb-lint v2): the token rules (determinism,
+# Static invariant gate (oeb-lint): the token rules (determinism,
 # NaN-safety, panic hygiene) plus the workspace-level semantic rules
 # (counter vocabulary sync, exit-code registry, delta-equivalence
 # coverage, lock-order cycles, stale suppressions) — see DESIGN.md,
-# "Static invariants v2". The JSON report lands next to the bench
+# "Static invariants". The JSON report lands next to the bench
 # artifacts; --time-budget-ms is a self-timing gate — the full
 # workspace pass (index + all rules) must stay under one second or the
 # lint itself fails CI. For remediation guidance run it by hand:
@@ -70,9 +73,8 @@ diff "$smoke_dir/table4.txt" "$smoke_dir/traced/table4.txt" \
 # table4 run: the PROFILE.json schema must validate, the per-stage
 # totals must equal the metrics-snapshot span aggregates exactly
 # (--check-metrics), the cell-attribution and per-item latency
-# instruments must have fired, and the cost model fitted from the same
-# trace must parse. PROFILE.json lands next to the bench artifacts in
-# the smoke dir.
+# instruments must have fired. PROFILE.json lands next to the bench
+# artifacts in the smoke dir.
 cargo run --release -p oeb-bench --bin oeb-profile -- "$smoke_dir/trace.jsonl" \
     --out "$smoke_dir/PROFILE.json" --threads 4 \
     --check-metrics "$smoke_dir/metrics.txt"
@@ -85,10 +87,6 @@ grep -Eq 'profile\.cells\.attributed +[1-9]' "$smoke_dir/metrics.txt" \
     || { echo "ci: no profile.cells.attributed in --metrics output" >&2; exit 1; }
 grep -Eq 'evaluate\.window\.latency_us +count=[1-9]' "$smoke_dir/metrics.txt" \
     || { echo "ci: no evaluate.window.latency_us histogram in --metrics output" >&2; exit 1; }
-cargo run --release -p oeb-bench --bin oeb-profile -- cost-model \
-    "$smoke_dir/trace.jsonl" --out "$smoke_dir/COST_MODEL.json"
-grep -q '"classes"' "$smoke_dir/COST_MODEL.json" \
-    || { echo "ci: COST_MODEL.json lacks fitted classes" >&2; exit 1; }
 
 # Smoke: compute kernels (blocked GEMM, pruned KNN imputation) vs their
 # scalar references — asserts bit-identical outputs while timing, so a
@@ -123,18 +121,16 @@ cargo run --release -p oeb-bench --bin bench_incremental -- \
 
 # Smoke: batched training kernels (quick profile). The binary asserts
 # the training equivalences while timing — MLP GEMM batch vs per-sample
-# SGD (bit-identical parameters), lockstep-parallel ARF vs the serial
-# fused loop (equal forest digests, including at 4 oversubscribed
-# workers), Hoeffding maintained-aggregate splits vs the rescanning
-# reference (bit-identical tuples). Its traced pass must surface all
-# three train.* counters and pass the counter vocabulary gate.
+# SGD (bit-identical parameters), Hoeffding maintained-aggregate splits
+# vs the rescanning reference (bit-identical tuples). Its traced pass
+# must surface both train.* counters and pass the counter vocabulary
+# gate.
 cargo run --release -p oeb-bench --bin bench_train -- \
     --quick --out "$smoke_dir/BENCH_train.json" \
     --metrics "$smoke_dir/train_metrics.txt"
 cargo run --release -p oeb-bench --bin trace_check -- \
     --counters "$smoke_dir/train_metrics.txt"
-for c in 'train\.mlp\.gemm_batches' 'train\.arf\.parallel_members' \
-         'train\.hoeffding\.split_checks'; do
+for c in 'train\.mlp\.gemm_batches' 'train\.hoeffding\.split_checks'; do
     grep -Eq "$c +[1-9]" "$smoke_dir/train_metrics.txt" \
         || { echo "ci: no $c in bench_train --metrics output" >&2; exit 1; }
 done

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use oeb_core::{parallel_map, CostModel, CostSample};
+use oeb_core::parallel_map;
 
 /// Span names that carry a whole cell's wall time. `cell.run` wraps the
 /// per-seed harness funnel (every execution path); `sweep.cell` is the
@@ -58,7 +58,8 @@ impl TraceSpan {
     }
 }
 
-/// The trace footer record (always the last line of a v2 trace).
+/// The trace footer record (the last line of a trace written by
+/// `oeb-trace`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceFooter {
     /// Trace schema version.
@@ -74,7 +75,7 @@ pub struct TraceFooter {
 pub struct ParsedTrace {
     /// Span records in file order (the deterministic drained order).
     pub spans: Vec<TraceSpan>,
-    /// Footer, when the trace has one (schema v2+).
+    /// Footer, when the trace has one.
     pub footer: Option<TraceFooter>,
 }
 
@@ -84,10 +85,9 @@ fn field_u64(v: &serde_json::Value, key: &str, line: usize) -> Result<u64, Strin
         .ok_or_else(|| format!("line {line}: `{key}` missing or not a non-negative integer"))
 }
 
-/// Parse a trace JSONL document. Tolerates v1 traces (no footer, no
-/// nanosecond fields — `start_us`/`dur_us` are scaled up) so old
-/// artifacts stay analysable; rejects malformed lines with a message
-/// naming the line number.
+/// Parse a schema-v2 trace JSONL document. Spans must carry the exact
+/// `start_ns`/`dur_ns` fields; the footer is optional. Rejects
+/// malformed lines with a message naming the line number.
 pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
     let mut spans = Vec::new();
     let mut footer = None;
@@ -103,12 +103,6 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
             serde_json::from_str(line).map_err(|e| format!("line {lineno}: invalid JSON: {e}"))?;
         match v.get("type").and_then(|t| t.as_str()) {
             Some("span") => {
-                let ns_or = |exact: &str, coarse: &str| -> Result<u64, String> {
-                    match v.get(exact).and_then(|x| x.as_u64()) {
-                        Some(n) => Ok(n),
-                        None => Ok(field_u64(&v, coarse, lineno)? * 1_000),
-                    }
-                };
                 spans.push(TraceSpan {
                     name: v
                         .get("name")
@@ -116,8 +110,8 @@ pub fn parse_trace(text: &str) -> Result<ParsedTrace, String> {
                         .ok_or_else(|| format!("line {lineno}: `name` missing"))?
                         .to_string(),
                     slot: field_u64(&v, "slot", lineno)?,
-                    start_ns: ns_or("start_ns", "start_us")?,
-                    dur_ns: ns_or("dur_ns", "dur_us")?,
+                    start_ns: field_u64(&v, "start_ns", lineno)?,
+                    dur_ns: field_u64(&v, "dur_ns", lineno)?,
                     dataset: v.get("dataset").and_then(|x| x.as_str()).map(String::from),
                     learner: v.get("learner").and_then(|x| x.as_str()).map(String::from),
                     cell_seed: v.get("cell_seed").and_then(|x| x.as_u64()),
@@ -193,8 +187,6 @@ pub struct Profile {
     pub events: u64,
     /// Dropped-event count from the footer (0 when absent).
     pub dropped: u64,
-    /// Trace schema version (1 when the trace had no footer).
-    pub trace_schema: u64,
     /// Per-stage totals over the whole trace.
     pub stages: BTreeMap<String, StageTotal>,
     /// Per-cell profiles, slowest first (ties broken by key).
@@ -332,7 +324,6 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
     Profile {
         events: trace.spans.len() as u64,
         dropped: trace.footer.map_or(0, |f| f.dropped),
-        trace_schema: trace.footer.map_or(1, |f| f.schema),
         stages,
         cells,
         workers,
@@ -399,7 +390,6 @@ pub fn profile_json(p: &Profile, top: usize) -> serde_json::Value {
         "schema": 1,
         "events": p.events,
         "dropped": p.dropped,
-        "trace_schema": p.trace_schema,
         "stages": stage_map_json(&p.stages),
         "timeline": serde_json::json!({
             "workers": p.workers.len() as u64,
@@ -423,11 +413,7 @@ fn ms(ns: u64) -> String {
 /// Render the human-readable profile table.
 pub fn render_profile(p: &Profile, top: usize) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "profile: {} events, {} dropped (trace schema {})",
-        p.events, p.dropped, p.trace_schema
-    );
+    let _ = writeln!(out, "profile: {} events, {} dropped", p.events, p.dropped);
     let busy: u64 = p.workers.iter().map(|w| w.busy_ns).sum();
     let _ = writeln!(out, "\nstages (share of busy time)");
     let width = p.stages.keys().map(String::len).max().unwrap_or(5).max(5);
@@ -485,32 +471,6 @@ pub fn render_profile(p: &Profile, top: usize) -> String {
         }
     }
     out
-}
-
-/// Extract cost-model samples: one per attributed cell wall span, in
-/// trace order.
-pub fn cost_samples(trace: &ParsedTrace) -> Vec<CostSample> {
-    let wall_span = CELL_WALL_SPANS
-        .iter()
-        .copied()
-        .find(|w| trace.spans.iter().any(|s| s.name == *w));
-    trace
-        .spans
-        .iter()
-        .filter(|s| Some(s.name.as_str()) == wall_span)
-        .filter_map(|s| {
-            Some(CostSample {
-                learner: s.learner.clone()?,
-                rows: s.rows?,
-                dur_ns: s.dur_ns,
-            })
-        })
-        .collect()
-}
-
-/// Fit the cost model from a trace's attributed cell spans.
-pub fn fit_cost_model(trace: &ParsedTrace) -> CostModel {
-    CostModel::fit(&cost_samples(trace))
 }
 
 /// Cross-check the profile's per-stage totals against a rendered
@@ -649,18 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_samples_feed_the_model() {
-        let trace = parse_trace(&sample_trace()).unwrap();
-        let samples = cost_samples(&trace);
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].learner, "arf");
-        assert_eq!(samples[0].rows, 100);
-        let model = fit_cost_model(&trace);
-        assert!(model.classes.contains_key("arf"));
-        assert!(model.classes.contains_key("tree"));
-    }
-
-    #[test]
     fn check_metrics_accepts_matching_and_rejects_drifted_tables() {
         let p = analyze(&parse_trace(&sample_trace()).unwrap(), 1);
         let good = "counters\n  x  1\nspans\n  cell.run        count=2 total_us=6000 mean_us=3000\n  evaluate.train  count=1 total_us=1000 mean_us=1000\n  report.render   count=1 total_us=500 mean_us=500\n";
@@ -680,13 +628,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_traces_without_nanoseconds_still_parse() {
-        let v1 = "{\"type\":\"span\",\"id\":0,\"slot\":0,\"seq\":0,\"name\":\"a\",\"start_us\":10,\"dur_us\":5}\n";
-        let trace = parse_trace(v1).unwrap();
-        assert_eq!(trace.spans[0].start_ns, 10_000);
-        assert_eq!(trace.spans[0].dur_ns, 5_000);
+    fn spans_without_nanosecond_fields_are_rejected() {
+        // `start_us`/`dur_us` alone do not make a valid span.
+        let ok = span("a", 0, 10_000, 5_000);
+        for (key, field) in [
+            ("start_ns", ",\"start_ns\":10000"),
+            ("dur_ns", ",\"dur_ns\":5000"),
+        ] {
+            let text = format!("{ok}\n{}\n", ok.replace(field, ""));
+            let err = parse_trace(&text).unwrap_err();
+            assert!(err.starts_with(&format!("line 2: `{key}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn footerless_traces_parse() {
+        let text = sample_trace();
+        let body = text.lines().take(4).collect::<Vec<_>>().join("\n") + "\n";
+        let trace = parse_trace(&body).unwrap();
         assert!(trace.footer.is_none());
-        assert_eq!(analyze(&trace, 1).trace_schema, 1);
+        assert_eq!(trace.spans.len(), 4);
+        assert_eq!(trace.spans[0].start_ns, 0);
+        assert_eq!(trace.spans[0].dur_ns, 4_000_000);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! so an interrupted sweep resumes from the last completed pair and
 //! produces the same final report as an uninterrupted one.
 
-use crate::cost::CostModel;
 use crate::error::HarnessError;
-use crate::executor::{parallel_map_watchdog_ordered, WatchdogSlot};
+use crate::executor::{parallel_map_watchdog, WatchdogSlot};
 use crate::harness::{try_run_stream_supervised, HarnessConfig, RunResult};
 use crate::learners::Algorithm;
 use crate::supervise::{cell_seed, supervise_cell, SupervisePolicy};
@@ -35,28 +34,7 @@ static CELLS_TOTAL: Counter = Counter::new("sweep.cells.total");
 static CELLS_RESUMED: Counter = Counter::new("sweep.cells.resumed");
 static CELLS_EXECUTED: Counter = Counter::new("sweep.cells.executed");
 static CELLS_FAILED: Counter = Counter::new("sweep.cells.failed");
-/// Cells whose claim order came from a fitted cost model rather than FIFO.
-static COST_SCHEDULED: Counter = Counter::new("profile.cells.cost_scheduled");
 static CELL_SPAN: SpanDef = SpanDef::new("sweep.cell");
-
-/// Claim-order policy for the cells a sweep is about to execute.
-///
-/// The schedule only permutes the order in which workers *claim* cells;
-/// results are deposited per cell index and the report is assembled in
-/// grid order, so every schedule is bit-identical on outputs at any
-/// thread count (proven by the `cost_schedule` proptest) and can only
-/// move wall-clock utilization.
-#[derive(Debug, Clone, Default)]
-pub enum Schedule {
-    /// Grid order (datasets outer, algorithms inner) — the historical
-    /// behaviour.
-    #[default]
-    Fifo,
-    /// Longest-expected-first by the fitted [`CostModel`], FIFO tiebreak
-    /// on cell index. Scheduling the expensive tail first shrinks the
-    /// end-of-sweep straggler window.
-    Cost(CostModel),
-}
 
 /// Whether [`run_sweep`] emits a stderr progress line per finished cell.
 /// Off by default so library callers and tests stay quiet; the CLI sweep
@@ -340,7 +318,6 @@ pub fn run_sweep(
 /// count. All retry decisions derive from [`cell_seed`], so replaying a
 /// sweep replays every retry sequence bit-for-bit; only wall-clock
 /// timeouts (marked `wall: true`) are machine-dependent.
-#[allow(clippy::too_many_arguments)]
 pub fn run_sweep_supervised(
     datasets: &[StreamDataset],
     algorithms: &[Algorithm],
@@ -349,36 +326,6 @@ pub fn run_sweep_supervised(
     max_new_runs: Option<usize>,
     threads: usize,
     policy: &SupervisePolicy,
-) -> Result<SweepReport, HarnessError> {
-    run_sweep_scheduled(
-        datasets,
-        algorithms,
-        config,
-        checkpoint,
-        max_new_runs,
-        threads,
-        policy,
-        &Schedule::Fifo,
-    )
-}
-
-/// [`run_sweep_supervised`] with an explicit claim-order [`Schedule`].
-///
-/// Under [`Schedule::Cost`] the unresolved cells are claimed
-/// longest-expected-first (`cost ≈ a + b·rows` per learner class, FIFO
-/// tiebreak on cell index). Only the claim order — and therefore the
-/// checkpoint line order, which resume never depends on — changes; the
-/// returned report is bit-identical to FIFO's.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_scheduled(
-    datasets: &[StreamDataset],
-    algorithms: &[Algorithm],
-    config: &HarnessConfig,
-    checkpoint: Option<&Path>,
-    max_new_runs: Option<usize>,
-    threads: usize,
-    policy: &SupervisePolicy,
-    schedule: &Schedule,
 ) -> Result<SweepReport, HarnessError> {
     config.validate()?;
     let mut done: HashMap<(String, String), RunOutcome> = HashMap::new();
@@ -433,37 +380,8 @@ pub fn run_sweep_scheduled(
         };
         let append_error: Mutex<Option<HarnessError>> = Mutex::new(None);
 
-        // Claim order: FIFO, or longest-expected-first under a cost model
-        // (stable tiebreak on cell index). Claim positions map to cell
-        // indices; results stay slot-addressed, so the order cannot leak
-        // into outputs.
-        let claim_order: Option<Vec<usize>> = match schedule {
-            Schedule::Fifo => None,
-            Schedule::Cost(model) => {
-                COST_SCHEDULED.add(to_run.len() as u64);
-                let mut order: Vec<usize> = (0..to_run.len()).collect();
-                let expected: Vec<f64> = to_run
-                    .iter()
-                    .map(|&cell| {
-                        let (d, a) = cells[cell];
-                        model.expected_ns(algorithms[a].name(), datasets[d].n_rows() as u64)
-                    })
-                    .collect();
-                order.sort_by(|&x, &y| {
-                    expected[y]
-                        .total_cmp(&expected[x])
-                        .then(to_run[x].cmp(&to_run[y]))
-                });
-                Some(order)
-            }
-        };
-
-        let ran: Vec<RunOutcome> = parallel_map_watchdog_ordered(
-            to_run.len(),
-            threads,
-            policy.wall_deadline,
-            claim_order.as_deref(),
-            |slot, dog| {
+        let ran: Vec<RunOutcome> =
+            parallel_map_watchdog(to_run.len(), threads, policy.wall_deadline, |slot, dog| {
                 let (d, a) = cells[to_run[slot]];
                 // Ambient attribution: every span recorded while this cell
                 // runs (prepare stages, evaluate stages, the cell span
@@ -498,8 +416,7 @@ pub fn run_sweep_scheduled(
                     }
                 }
                 outcome
-            },
-        );
+            });
         if let Some(e) = append_error
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner())

@@ -7,7 +7,7 @@
 //! the paper reports N/A for ARF on regression streams, and so does this
 //! implementation by construction.
 
-use crate::hoeffding::{fnv_mix, HoeffdingConfig, HoeffdingTree};
+use crate::hoeffding::{HoeffdingConfig, HoeffdingTree};
 use oeb_drift::{Adwin, ConceptDriftDetector};
 use oeb_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -47,45 +47,16 @@ impl Default for ArfConfig {
 
 /// One ensemble member: the foreground tree, its drift and warning
 /// detectors, and the background tree grown since the last warning.
-pub struct ArfMember {
+struct Member {
     tree: HoeffdingTree,
     drift: Adwin,
     warning: Adwin,
     background: Option<HoeffdingTree>,
 }
 
-impl ArfMember {
-    /// Online-bagging training step: trains the foreground tree (and the
-    /// background tree when present) `k` times on the sample. Consumes no
-    /// randomness — `k` comes from the serial
-    /// [`AdaptiveRandomForest::pre_pass_member`] — so members can train
-    /// concurrently without perturbing the shared RNG stream.
-    pub fn bagged_train(&mut self, x: &[f64], y: usize, k: usize) {
-        for _ in 0..k {
-            self.tree.learn_one(x, y);
-            if let Some(bg) = &mut self.background {
-                bg.learn_one(x, y);
-            }
-        }
-    }
-
-    /// Structural digest of the member (trees, detector state,
-    /// background presence). See [`AdaptiveRandomForest::digest`].
-    pub fn digest(&self) -> u64 {
-        let mut h = self.tree.digest();
-        h = fnv_mix(h, self.drift.mean().to_bits());
-        h = fnv_mix(h, self.warning.mean().to_bits());
-        match &self.background {
-            Some(bg) => h = fnv_mix(h, bg.digest()),
-            None => h = fnv_mix(h, 0x6e6f6e65), // "none"
-        }
-        h
-    }
-}
-
 /// The Adaptive Random Forest classifier.
 pub struct AdaptiveRandomForest {
-    members: Vec<ArfMember>,
+    members: Vec<Member>,
     n_features: usize,
     n_classes: usize,
     config: ArfConfig,
@@ -101,7 +72,7 @@ impl AdaptiveRandomForest {
     pub fn new(n_features: usize, n_classes: usize, config: ArfConfig) -> AdaptiveRandomForest {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let members = (0..config.n_trees)
-            .map(|_| ArfMember {
+            .map(|_| Member {
                 tree: new_subspace_tree(n_features, n_classes, &config, &mut rng),
                 drift: Adwin::new(config.drift_delta),
                 warning: Adwin::new(config.warning_delta),
@@ -146,92 +117,52 @@ impl AdaptiveRandomForest {
         best
     }
 
-    /// Serial per-member randomness pre-pass for one sample: error
-    /// monitoring, warning/drift handling (either of which may consume
-    /// RNG to draw a background/replacement subspace) and the Poisson bag
-    /// count, returned for [`ArfMember::bagged_train`].
-    ///
-    /// Callers must invoke this in member order for every member of a
-    /// sample before any member trains on it. That is exactly the RNG
-    /// consumption order of the historical fused loop: member `i`'s
-    /// training touched neither the shared RNG nor member `i+1`'s state,
-    /// so hoisting all pre-passes ahead of training is bit-exact.
-    #[doc(hidden)]
-    pub fn pre_pass_member(&mut self, m: &mut ArfMember, x: &[f64], y: usize) -> usize {
+    /// Learns one labelled sample with per-member Poisson bagging and
+    /// drift monitoring.
+    pub fn learn_one(&mut self, x: &[f64], y: usize) {
         let y = y.min(self.n_classes - 1);
         let n_features = self.n_features;
         let n_classes = self.n_classes;
         let config = self.config;
-        // Monitor the member's error before training on the sample.
-        // ADWIN cuts on any mean change; only a cut that leaves the
-        // window at a *higher* error is a drift (cuts on improving
-        // error are the tree learning, not the concept changing).
-        let err = f64::from(m.tree.predict(x) != y);
-        let warn_pre = m.warning.mean();
-        let warning_fired = m.warning.update(err).is_drift() && m.warning.mean() > warn_pre;
-        let drift_pre = m.drift.mean();
-        let drift_fired = m.drift.update(err).is_drift() && m.drift.mean() > drift_pre;
+        for m in &mut self.members {
+            // Monitor the member's error before training on the sample.
+            // ADWIN cuts on any mean change; only a cut that leaves the
+            // window at a *higher* error is a drift (cuts on improving
+            // error are the tree learning, not the concept changing).
+            let err = f64::from(m.tree.predict(x) != y);
+            let warn_pre = m.warning.mean();
+            let warning_fired = m.warning.update(err).is_drift() && m.warning.mean() > warn_pre;
+            let drift_pre = m.drift.mean();
+            let drift_fired = m.drift.update(err).is_drift() && m.drift.mean() > drift_pre;
 
-        if warning_fired && m.background.is_none() {
-            m.background = Some(new_subspace_tree(
-                n_features,
-                n_classes,
-                &config,
-                &mut self.rng,
-            ));
+            if warning_fired && m.background.is_none() {
+                m.background = Some(new_subspace_tree(
+                    n_features,
+                    n_classes,
+                    &config,
+                    &mut self.rng,
+                ));
+            }
+            if drift_fired {
+                // Promote the background tree (or start fresh).
+                let replacement = m.background.take().unwrap_or_else(|| {
+                    new_subspace_tree(n_features, n_classes, &config, &mut self.rng)
+                });
+                m.tree = replacement;
+                m.drift.reset();
+                m.warning.reset();
+                self.n_resets += 1;
+            }
+
+            // Online bagging: train k ~ Poisson(lambda) times.
+            let k = poisson(config.lambda, &mut self.rng);
+            for _ in 0..k {
+                m.tree.learn_one(x, y);
+                if let Some(bg) = &mut m.background {
+                    bg.learn_one(x, y);
+                }
+            }
         }
-        if drift_fired {
-            // Promote the background tree (or start fresh).
-            let replacement = m.background.take().unwrap_or_else(|| {
-                new_subspace_tree(n_features, n_classes, &config, &mut self.rng)
-            });
-            m.tree = replacement;
-            m.drift.reset();
-            m.warning.reset();
-            self.n_resets += 1;
-        }
-
-        // Online bagging: train k ~ Poisson(lambda) times.
-        poisson(config.lambda, &mut self.rng)
-    }
-
-    /// Learns one labelled sample with per-member Poisson bagging and
-    /// drift monitoring.
-    pub fn learn_one(&mut self, x: &[f64], y: usize) {
-        let mut members = std::mem::take(&mut self.members);
-        for m in &mut members {
-            let k = self.pre_pass_member(m, x, y);
-            m.bagged_train(x, y.min(self.n_classes - 1), k);
-        }
-        self.members = members;
-    }
-
-    /// Detaches the ensemble members so a caller can drive
-    /// [`AdaptiveRandomForest::pre_pass_member`] /
-    /// [`ArfMember::bagged_train`] itself (the lockstep-parallel window
-    /// trainer). Pair with [`AdaptiveRandomForest::put_members`].
-    #[doc(hidden)]
-    pub fn take_members(&mut self) -> Vec<ArfMember> {
-        std::mem::take(&mut self.members)
-    }
-
-    /// Reattaches members detached by [`AdaptiveRandomForest::take_members`].
-    #[doc(hidden)]
-    pub fn put_members(&mut self, members: Vec<ArfMember>) {
-        self.members = members;
-    }
-
-    /// Order-sensitive structural digest over every member (tree
-    /// structure and leaf statistics bit patterns, detector means,
-    /// background presence) plus the reset count. Equal digests mean two
-    /// training schedules produced bit-identical forests; used by the
-    /// serial-vs-lockstep equivalence tests and `bench_train`.
-    pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325;
-        for m in &self.members {
-            h = fnv_mix(h, m.digest());
-        }
-        fnv_mix(h, self.n_resets as u64)
     }
 
     /// Learns a whole window sample-by-sample.
