@@ -10,7 +10,12 @@ cargo test -q --workspace
 # The repo benchmark harness is its own workspace; its tests pin the
 # `oeb_bench::profile` API it consumes (trace parsing, utilization).
 cargo test --release --manifest-path perfbench/Cargo.toml
+# Clippy carries most static invariants (clippy.toml: no clock reads
+# outside oeb-trace, no HashMap/HashSet; [workspace.lints]: no exact
+# float comparison; kernel crates: no unwrap/expect). perfbench is its
+# own workspace, so it gets its own pass under the same clippy.toml.
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Optional: Miri over the concurrency-sensitive tests — the oeb-trace
 # event-buffer suite (thread-local buffers flushed into a global
@@ -37,14 +42,14 @@ cargo fmt --check
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
-# Static invariant gate (oeb-lint): the token rules (determinism,
-# NaN-safety, panic hygiene) plus the workspace-level semantic rules
-# (counter vocabulary sync, exit-code registry, delta-equivalence
-# coverage, lock-order cycles, stale suppressions) — see DESIGN.md,
-# "Static invariants". The JSON report lands next to the bench
-# artifacts; --time-budget-ms is a self-timing gate — the full
-# workspace pass (index + all rules) must stay under one second or the
-# lint itself fails CI. For remediation guidance run it by hand:
+# Static invariant gate (oeb-lint): the five rules clippy cannot
+# express — nan-partial-cmp, panic-in-library (constant-literal
+# indexing in kernel crates), delta-equivalence coverage, lock-order
+# cycles and stale suppressions; see DESIGN.md, "Static invariants".
+# The JSON report lands next to the bench artifacts; --time-budget-ms
+# is a self-timing gate — the full workspace pass (index + all rules)
+# must stay under one second or the lint itself fails CI. For
+# remediation guidance run it by hand:
 #   cargo run --release -p oeb-lint -- check --fix-hints
 cargo run --release -p oeb-lint -- check --json --time-budget-ms 1000 \
     > "$smoke_dir/LINT_report.json" \

@@ -78,7 +78,6 @@ fn matmul_ikj_reference(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     for i in 0..a.rows() {
         for k in 0..a.cols() {
             let v = a[(i, k)];
-            // oeb-lint: allow(float-eq) -- exact-zero sparsity skip, mirrors the shipped loop
             if v == 0.0 {
                 continue;
             }

@@ -7,11 +7,10 @@
 //! Used by `ci.sh` to gate the traced smoke run.
 //!
 //! With `--counters <metrics.txt>` it additionally validates the
-//! counters section of a `--metrics` table against the *generated*
-//! counter vocabulary (`oeb_bench::counter_vocab::KNOWN_COUNTERS`,
-//! emitted by `oeb-lint index --emit-vocab` from the workspace's
-//! `Counter::new` construction sites): a typo'd or undeclared counter
-//! name fails the gate instead of silently shipping an unknown key.
+//! counters section of a `--metrics` table against the counter registry
+//! (`oeb_trace::counters::COUNTER_NAMES`, the one list every counter is
+//! declared in): a typo'd or undeclared counter name fails the gate
+//! instead of silently shipping an unknown key.
 //!
 //! Usage: `trace_check [<trace.jsonl>] [--counters <metrics.txt>]`;
 //! exits 0 when valid, 1 with a line-numbered message otherwise, and
@@ -24,12 +23,12 @@
 
 use std::process::exit;
 
-use oeb_bench::counter_vocab::KNOWN_COUNTERS;
+use oeb_trace::counters::COUNTER_NAMES;
 
 const REQUIRED: [&str; 7] = ["type", "id", "slot", "seq", "name", "start_us", "dur_us"];
 
 /// Checks every row of the `counters` section of a rendered metrics
-/// table against [`KNOWN_COUNTERS`].
+/// table against [`COUNTER_NAMES`].
 fn check_counters(path: &str) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("trace_check: cannot read {path}: {e}");
@@ -48,7 +47,7 @@ fn check_counters(path: &str) {
         let Some(key) = line.split_whitespace().next() else {
             continue;
         };
-        if !KNOWN_COUNTERS.contains(&key) {
+        if !COUNTER_NAMES.contains(&key) {
             eprintln!(
                 "trace_check: {path}: line {}: unknown counter {key:?}",
                 i + 1

@@ -10,7 +10,11 @@
 //!   detectors, outlier detectors, preprocessing, and the end-to-end
 //!   prequential pipeline.
 
-pub mod counter_vocab;
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
+
 pub mod profile;
 
 use std::fs;

@@ -18,11 +18,9 @@ use std::fmt::Write as _;
 
 use oeb_core::parallel_map;
 
-/// Span names that carry a whole cell's wall time. `cell.run` wraps the
-/// per-seed harness funnel (every execution path); `sweep.cell` is the
-/// sweep's per-grid-cell umbrella and is only used as a fallback for
-/// traces recorded before the harness span existed.
-const CELL_WALL_SPANS: [&str; 2] = ["cell.run", "sweep.cell"];
+/// The span that carries a whole cell's wall time: `cell.run` wraps the
+/// per-seed harness funnel every execution path goes through.
+const CELL_WALL_SPAN: &str = "cell.run";
 
 /// One span record parsed back out of a trace file.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,10 +242,6 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
             by_cell.entry(key).or_default().push(s);
         }
     }
-    let wall_span = CELL_WALL_SPANS
-        .iter()
-        .copied()
-        .find(|w| trace.spans.iter().any(|s| s.name == *w));
     let grouped: Vec<_> = by_cell.iter().collect();
     let mut cells: Vec<CellProfile> = parallel_map(grouped.len(), threads.max(1), |i| {
         let ((dataset, learner, seed), spans) = &grouped[i];
@@ -263,7 +257,7 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
             let t = cell.stages.entry(s.name.clone()).or_default();
             t.count += 1;
             t.total_ns += s.dur_ns;
-            if Some(s.name.as_str()) == wall_span {
+            if s.name == CELL_WALL_SPAN {
                 cell.wall_ns += s.dur_ns;
             }
         }
@@ -303,7 +297,7 @@ pub fn analyze(trace: &ParsedTrace, threads: usize) -> Profile {
     let cell_workers = trace
         .spans
         .iter()
-        .filter(|s| Some(s.name.as_str()) == wall_span)
+        .filter(|s| s.name == CELL_WALL_SPAN)
         .map(|s| s.slot)
         .collect::<std::collections::BTreeSet<_>>()
         .len()

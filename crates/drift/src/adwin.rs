@@ -93,10 +93,14 @@ impl Adwin {
                     self.rows.push(BucketRow::default());
                 }
                 // Merge the two oldest buckets of this row.
-                let s1 = self.rows[row].sums.pop().expect("len > max_buckets"); // oeb-lint: allow(panic-in-library) -- pop guarded by the len check above
-                let s2 = self.rows[row].sums.pop().expect("len > max_buckets"); // oeb-lint: allow(panic-in-library) -- pop guarded by the len check above
-                let q1 = self.rows[row].sq_sums.pop().expect("len > max_buckets"); // oeb-lint: allow(panic-in-library) -- sq_sums moves in lockstep with sums
-                let q2 = self.rows[row].sq_sums.pop().expect("len > max_buckets"); // oeb-lint: allow(panic-in-library) -- sq_sums moves in lockstep with sums
+                #[expect(clippy::expect_used, reason = "pop guarded by the len check above")]
+                let s1 = self.rows[row].sums.pop().expect("len > max_buckets");
+                #[expect(clippy::expect_used, reason = "pop guarded by the len check above")]
+                let s2 = self.rows[row].sums.pop().expect("len > max_buckets");
+                #[expect(clippy::expect_used, reason = "sq_sums moves in lockstep with sums")]
+                let q1 = self.rows[row].sq_sums.pop().expect("len > max_buckets");
+                #[expect(clippy::expect_used, reason = "sq_sums moves in lockstep with sums")]
+                let q2 = self.rows[row].sq_sums.pop().expect("len > max_buckets");
                 self.rows[row + 1].sums.insert(0, s1 + s2);
                 self.rows[row + 1].sq_sums.insert(0, q1 + q2);
                 row += 1;

@@ -14,6 +14,13 @@
 //!   (EWMA charts), and
 //!   [`perm::perm_test`] — the only one applicable to regression.
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
+
 pub mod adwin;
 pub mod cdbd;
 pub mod ddm;

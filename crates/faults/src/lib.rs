@@ -15,6 +15,9 @@
 //! [`StreamDataset`](oeb_tabular::StreamDataset) and [`FaultInjector`]
 //! wraps any source, applying the plan frame by frame.
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 mod frame;
 mod inject;
 mod plan;

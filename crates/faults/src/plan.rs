@@ -1,18 +1,11 @@
 //! Fault plans, kinds, and the log of injected events.
 
+use oeb_trace::counters::{
+    FAULTS_INJECTED_ALL_MISSING_COLUMN, FAULTS_INJECTED_CORRUPTED_CELLS,
+    FAULTS_INJECTED_DROPPED_WINDOW, FAULTS_INJECTED_DUPLICATED_WINDOW, FAULTS_INJECTED_LABEL_NOISE,
+    FAULTS_INJECTED_NAN_BURST, FAULTS_INJECTED_SCHEMA_VIOLATION, FAULTS_INJECTED_TRUNCATED_WINDOW,
+};
 use oeb_trace::Counter;
-
-// Per-kind injection counters, recorded at the single chokepoint every
-// injected event flows through ([`FaultLog::push`]). Injection decisions
-// are keyed on (seed, window index), so these are schedule-invariant.
-static NAN_BURSTS: Counter = Counter::new("faults.injected.nan-burst");
-static CORRUPTED_CELLS: Counter = Counter::new("faults.injected.corrupted-cells");
-static LABEL_NOISE: Counter = Counter::new("faults.injected.label-noise");
-static DROPPED_WINDOWS: Counter = Counter::new("faults.injected.dropped-window");
-static DUPLICATED_WINDOWS: Counter = Counter::new("faults.injected.duplicated-window");
-static TRUNCATED_WINDOWS: Counter = Counter::new("faults.injected.truncated-window");
-static SCHEMA_VIOLATIONS: Counter = Counter::new("faults.injected.schema-violation");
-static ALL_MISSING_COLUMNS: Counter = Counter::new("faults.injected.all-missing-column");
 
 /// The kinds of stream fault the injector can produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,14 +59,14 @@ impl FaultKind {
 
     fn counter(&self) -> &'static Counter {
         match self {
-            FaultKind::NanBurst => &NAN_BURSTS,
-            FaultKind::CorruptedCells => &CORRUPTED_CELLS,
-            FaultKind::LabelNoise => &LABEL_NOISE,
-            FaultKind::DroppedWindow => &DROPPED_WINDOWS,
-            FaultKind::DuplicatedWindow => &DUPLICATED_WINDOWS,
-            FaultKind::TruncatedWindow => &TRUNCATED_WINDOWS,
-            FaultKind::SchemaViolation => &SCHEMA_VIOLATIONS,
-            FaultKind::AllMissingColumn => &ALL_MISSING_COLUMNS,
+            FaultKind::NanBurst => &FAULTS_INJECTED_NAN_BURST,
+            FaultKind::CorruptedCells => &FAULTS_INJECTED_CORRUPTED_CELLS,
+            FaultKind::LabelNoise => &FAULTS_INJECTED_LABEL_NOISE,
+            FaultKind::DroppedWindow => &FAULTS_INJECTED_DROPPED_WINDOW,
+            FaultKind::DuplicatedWindow => &FAULTS_INJECTED_DUPLICATED_WINDOW,
+            FaultKind::TruncatedWindow => &FAULTS_INJECTED_TRUNCATED_WINDOW,
+            FaultKind::SchemaViolation => &FAULTS_INJECTED_SCHEMA_VIOLATION,
+            FaultKind::AllMissingColumn => &FAULTS_INJECTED_ALL_MISSING_COLUMN,
         }
     }
 }
@@ -190,7 +183,6 @@ impl FaultPlan {
 
     /// True when no fault can ever fire.
     pub fn is_clean(&self) -> bool {
-        // oeb-lint: allow(float-eq) -- a fault is inactive only at a rate of exactly 0.0
         self.rates().iter().all(|&(_, r)| r == 0.0)
     }
 

@@ -180,10 +180,14 @@ impl EcdfMultiset {
         if !x.is_finite() {
             return false;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: universe covers the stream"
+        )]
         let rank = self
             .universe
             .rank_of(canonical(x))
-            .expect("value outside the multiset universe"); // oeb-lint: allow(panic-in-library) -- documented contract: universe covers the stream
+            .expect("value outside the multiset universe");
         self.counts[rank] += 1;
         self.fenwick_add(rank, 1);
         self.len += 1;
@@ -200,10 +204,14 @@ impl EcdfMultiset {
         if !x.is_finite() {
             return false;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: universe covers the stream"
+        )]
         let rank = self
             .universe
             .rank_of(canonical(x))
-            .expect("value outside the multiset universe"); // oeb-lint: allow(panic-in-library) -- documented contract: universe covers the stream
+            .expect("value outside the multiset universe");
         assert!(self.counts[rank] > 0, "retracting a value never absorbed");
         self.counts[rank] -= 1;
         self.fenwick_add(rank, -1);

@@ -30,13 +30,7 @@
 //! chain can never hold `-0.0`, so adding `±0.0` never changes bits).
 
 use crate::matrix::Matrix;
-use oeb_trace::Counter;
-
-/// Dispatch accounting: which GEMM path each `matmul_into` call took.
-/// Purely shape-driven, so the counts are schedule-invariant.
-static DISPATCH_SCALAR: Counter = Counter::new("gemm.dispatch.scalar");
-static DISPATCH_BLOCKED: Counter = Counter::new("gemm.dispatch.blocked");
-static MATVEC_CALLS: Counter = Counter::new("gemm.matvec.calls");
+use oeb_trace::counters::{GEMM_DISPATCH_BLOCKED, GEMM_DISPATCH_SCALAR, GEMM_MATVEC_CALLS};
 
 /// Rows of A per register tile.
 const MR: usize = 4;
@@ -290,10 +284,10 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_gemm_shapes(a, b, out);
     out.as_mut_slice().fill(0.0);
     if a.rows() * a.cols() * b.cols() < BLOCKED_MIN_MULADDS {
-        DISPATCH_SCALAR.incr();
+        GEMM_DISPATCH_SCALAR.incr();
         scalar_accumulate(a, b, out);
     } else {
-        DISPATCH_BLOCKED.incr();
+        GEMM_DISPATCH_BLOCKED.incr();
         blocked_accumulate(a, b, out);
     }
 }
@@ -323,7 +317,6 @@ fn scalar_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         let arow = a.row(i);
         let dst = out.row_mut(i);
         for (k, &av) in arow.iter().enumerate() {
-            // oeb-lint: allow(float-eq) -- exact-zero sparsity skip; any nonzero must multiply
             if av == 0.0 {
                 continue;
             }
@@ -514,7 +507,6 @@ fn guarded_tile(
         let prow = &panel[k * nc + jj..k * nc + jj + nr];
         for ii in 0..mr {
             let av = arows[ii][k];
-            // oeb-lint: allow(float-eq) -- mirrors the scalar reference's exact-zero skip
             if av == 0.0 {
                 continue;
             }
@@ -584,11 +576,11 @@ pub fn matmul_xwt_bias_into(x: &Matrix, w: &Matrix, bias: &[f64], out: &mut Matr
     assert_xwt_shapes(x, w, bias, out);
     let (m, kdim, n) = (x.rows(), x.cols(), w.rows());
     if m * kdim * n < TRAIN_MIN_MULADDS {
-        DISPATCH_SCALAR.incr();
+        GEMM_DISPATCH_SCALAR.incr();
         matmul_xwt_bias_reference_into(x, w, bias, out);
         return;
     }
-    DISPATCH_BLOCKED.incr();
+    GEMM_DISPATCH_BLOCKED.incr();
     let wide = wide_tile_available();
     let mut ib = 0;
     while ib < m {
@@ -708,11 +700,11 @@ pub fn matmul_noskip_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         return;
     }
     if m * kdim * n < TRAIN_MIN_MULADDS {
-        DISPATCH_SCALAR.incr();
+        GEMM_DISPATCH_SCALAR.incr();
         noskip_accumulate_reference(a, b, out);
         return;
     }
-    DISPATCH_BLOCKED.incr();
+    GEMM_DISPATCH_BLOCKED.incr();
     let wide = wide_tile_available();
     // B is consumed in place (it is already a row-major `kdim x n`
     // panel with stride `n`), so only k is blocked; accumulator tiles
@@ -818,11 +810,11 @@ pub fn matmul_at_b_accum_into(a: &Matrix, b: &Matrix, out: &mut [f64]) {
     assert_atb_shapes(a, b, out);
     let (m, n_out, n_in) = (a.rows(), a.cols(), b.cols());
     if m * n_out * n_in < TRAIN_MIN_MULADDS {
-        DISPATCH_SCALAR.incr();
+        GEMM_DISPATCH_SCALAR.incr();
         atb_accumulate_reference(a, b, out);
         return;
     }
-    DISPATCH_BLOCKED.incr();
+    GEMM_DISPATCH_BLOCKED.incr();
     let wide = wide_tile_available();
     let mut ob = 0;
     while ob < n_out {
@@ -937,7 +929,7 @@ pub fn accum_col_sums(a: &Matrix, out: &mut [f64]) {
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn matvec_into(a: &Matrix, v: &[f64], out: &mut Vec<f64>) {
-    MATVEC_CALLS.incr();
+    GEMM_MATVEC_CALLS.incr();
     assert_eq!(a.cols(), v.len(), "matvec dimension mismatch");
     out.clear();
     out.extend((0..a.rows()).map(|r| dot(a.row(r), v)));

@@ -68,6 +68,7 @@ impl Default for KMeansConfig {
 ///
 /// # Panics
 /// Panics when `data` has fewer rows than `config.k` or `k == 0`.
+#[expect(clippy::expect_used, reason = "n_init.max(1) guarantees one iteration")]
 pub fn kmeans<R: Rng>(data: &Matrix, config: &KMeansConfig, rng: &mut R) -> KMeansResult {
     assert!(config.k > 0, "k must be positive");
     assert!(
@@ -84,7 +85,7 @@ pub fn kmeans<R: Rng>(data: &Matrix, config: &KMeansConfig, rng: &mut R) -> KMea
             _ => best = Some(result),
         }
     }
-    best.expect("at least one k-means restart runs") // oeb-lint: allow(panic-in-library) -- n_init.max(1) guarantees one iteration
+    best.expect("at least one k-means restart runs")
 }
 
 fn kmeans_once<R: Rng>(data: &Matrix, config: &KMeansConfig, rng: &mut R) -> KMeansResult {

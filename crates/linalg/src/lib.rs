@@ -10,6 +10,12 @@
 //! (≤ a few hundred features), so simple dense algorithms are the right
 //! tool.
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
 // Index loops over parallel numeric buffers are clearer than iterator
 // chains in these kernels.
 #![allow(clippy::needless_range_loop)]

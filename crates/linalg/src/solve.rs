@@ -40,7 +40,6 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
         let diag = m[(col, col)];
         for r in (col + 1)..n {
             let factor = m[(r, col)] / diag;
-            // oeb-lint: allow(float-eq) -- exact-zero skip: elimination is a no-op only at 0.0
             if factor == 0.0 {
                 continue;
             }

@@ -1,6 +1,8 @@
 //! Property-based tests for the linear-algebra kernels: algebraic
 //! identities that must hold for arbitrary well-formed inputs.
 
+#![expect(clippy::float_cmp, reason = "tests assert exact deterministic values")]
+
 use oeb_linalg::{
     five_number, hellinger, kernels, kl_divergence, ks_p_value, ks_statistic, quantile,
     ridge_regression, solve, symmetric_eigen, Histogram, Matrix, Pca,

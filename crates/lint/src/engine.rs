@@ -17,25 +17,6 @@ use crate::lexer::{lex, Token, TokenKind};
 use crate::parser::{parse_items, walk_items, Item};
 use crate::rules::{self, Rule};
 
-/// How a diagnostic counts toward the exit code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Reported; the check still passes.
-    Warn,
-    /// Reported; the check fails.
-    Error,
-}
-
-impl Severity {
-    /// Lower-case label used in human and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warn => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
 /// What kind of code a file holds; rules opt in per kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
@@ -49,11 +30,11 @@ pub enum FileKind {
     Example,
 }
 
-/// One finding, fully located and annotated.
+/// One finding, fully located and annotated. Every diagnostic is an
+/// error: any one fails the check.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     pub rule: &'static str,
-    pub severity: Severity,
     pub file: String,
     pub line: u32,
     pub col: u32,
@@ -247,20 +228,12 @@ fn test_regions(items: &[Item]) -> Vec<(u32, u32)> {
     regions
 }
 
-/// Runs every registered rule over one file, applying suppressions and
-/// per-rule severity overrides (`warn_rules` demotes to [`Severity::Warn`]).
-pub fn check_file(file: &SourceFile, warn_rules: &[String]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for mut d in check_file_raw(file) {
-        if file.suppressed(d.rule, d.line) {
-            continue;
-        }
-        if warn_rules.iter().any(|r| *r == d.rule) {
-            d.severity = Severity::Warn;
-        }
-        out.push(d);
-    }
-    out
+/// Runs every registered rule over one file, applying suppressions.
+pub fn check_file(file: &SourceFile) -> Vec<Diagnostic> {
+    check_file_raw(file)
+        .into_iter()
+        .filter(|d| !file.suppressed(d.rule, d.line))
+        .collect()
 }
 
 /// Runs every token-shape rule over one file *without* applying
@@ -279,7 +252,6 @@ pub fn check_file_raw(file: &SourceFile) -> Vec<Diagnostic> {
 pub fn diag(rule: &Rule, file: &SourceFile, t: &Token, message: String) -> Diagnostic {
     Diagnostic {
         rule: rule.name,
-        severity: rule.severity,
         file: file.path.clone(),
         line: t.line,
         col: t.col,
@@ -300,7 +272,7 @@ pub fn to_json(diags: &[Diagnostic]) -> serde_json::Value {
                     "line": d.line,
                     "col": d.col,
                     "rule": d.rule,
-                    "severity": d.severity.label(),
+                    "severity": "error",
                     "message": d.message,
                     "snippet": d.snippet,
                     "hint": d.hint,
@@ -313,14 +285,8 @@ pub fn to_json(diags: &[Diagnostic]) -> serde_json::Value {
 /// Renders one diagnostic for terminal output.
 pub fn render_human(d: &Diagnostic, fix_hints: bool) -> String {
     let mut s = format!(
-        "{}:{}:{}: {}[{}]: {}\n    {}\n",
-        d.file,
-        d.line,
-        d.col,
-        d.severity.label(),
-        d.rule,
-        d.message,
-        d.snippet
+        "{}:{}:{}: error[{}]: {}\n    {}\n",
+        d.file, d.line, d.col, d.rule, d.message, d.snippet
     );
     if fix_hints {
         s.push_str(&format!("    hint: {}\n", d.hint));

@@ -1,44 +1,12 @@
 //! Workspace index: one pass over every parsed file distils the facts
-//! the semantic rules consume — counter construction sites, the
-//! `HarnessError` exit-code/kind tables, `DeltaStat` impls, test
-//! functions with the types they exercise, and a static lock-order
-//! graph. The index is serializable (`oeb-lint index --json`) so other
-//! tooling can consume the same facts the rules do, and it is the
-//! source of truth for the generated counter vocabulary
-//! (`oeb-lint index --emit-vocab`).
+//! the semantic rules consume — `DeltaStat` impls, test functions with
+//! the types they exercise, and a static lock-order graph.
 
 use std::collections::BTreeMap;
 
 use crate::engine::SourceFile;
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{Item, ItemKind};
-
-/// Counters that the trace snapshot synthesises itself rather than
-/// constructing through `Counter::new`, so no construction site exists
-/// for them; they belong to the vocabulary regardless.
-pub const SYNTHESIZED_COUNTERS: &[&str] = &["trace.events.dropped"];
-
-/// One `Counter::new("…")` / `Gauge::new("…")` construction site.
-#[derive(Debug, Clone)]
-pub struct MetricSite {
-    pub name: String,
-    pub file: String,
-    pub line: u32,
-    /// True when the site is in test/bench/example code — such metrics
-    /// never reach production snapshots and stay out of the vocabulary.
-    pub in_test: bool,
-}
-
-/// One `HarnessError` variant's row in the exit-code registry, merged
-/// from the `exit_code()` and `kind()` match arms.
-#[derive(Debug, Clone)]
-pub struct ExitArm {
-    pub variant: String,
-    pub code: Option<i64>,
-    pub kind: Option<String>,
-    /// Line of the `exit_code()` arm (fallback: the `kind()` arm).
-    pub line: u32,
-}
 
 /// One `impl DeltaStat for T` site.
 #[derive(Debug, Clone)]
@@ -53,21 +21,16 @@ pub struct DeltaImpl {
 /// snapshot equivalence.
 #[derive(Debug, Clone)]
 pub struct TestFn {
-    pub name: String,
-    pub file: String,
-    pub line: u32,
     pub types: Vec<String>,
     pub equivalence: bool,
 }
 
-/// One static lock acquisition site, attributed to a function.
+/// One static lock acquisition site.
 #[derive(Debug, Clone)]
 pub struct LockSite {
     /// Fully-qualified lock identity (`oebench::WatchdogSlot::active`,
     /// `trace::REGISTRY`, or `file::fn::name` for locals).
     pub lock: String,
-    /// `file::fn` of the acquiring function.
-    pub func: String,
     pub file: String,
     pub line: u32,
 }
@@ -87,30 +50,20 @@ pub struct LockEdge {
 /// Everything the semantic rules need, from one pass over the files.
 #[derive(Debug, Default)]
 pub struct WorkspaceIndex {
-    pub counters: Vec<MetricSite>,
-    pub gauges: Vec<MetricSite>,
-    pub exit_arms: Vec<ExitArm>,
-    /// File declaring `impl HarnessError` (workspace-relative).
-    pub exit_file: Option<String>,
     pub delta_impls: Vec<DeltaImpl>,
     pub test_fns: Vec<TestFn>,
     pub lock_sites: Vec<LockSite>,
     pub lock_edges: Vec<LockEdge>,
-    pub file_count: usize,
 }
 
 impl WorkspaceIndex {
     /// Builds the index over already-parsed files.
     pub fn build(files: &[SourceFile]) -> WorkspaceIndex {
-        let mut idx = WorkspaceIndex {
-            file_count: files.len(),
-            ..WorkspaceIndex::default()
-        };
+        let mut idx = WorkspaceIndex::default();
         let mut fns: Vec<FnInfo> = Vec::new();
         let mut statics: Vec<StaticLock> = Vec::new();
 
         for (fi, file) in files.iter().enumerate() {
-            collect_metrics(file, &mut idx);
             let mut ctx = CollectCtx {
                 file,
                 file_idx: fi,
@@ -131,14 +84,8 @@ impl WorkspaceIndex {
             .collect();
         build_edges(files, &fns, &acquisitions, &mut idx);
 
-        idx.counters
-            .sort_by(|a, b| (&a.name, &a.file, a.line).cmp(&(&b.name, &b.file, b.line)));
-        idx.gauges
-            .sort_by(|a, b| (&a.name, &a.file, a.line).cmp(&(&b.name, &b.file, b.line)));
         idx.delta_impls
             .sort_by(|a, b| (&a.type_name, &a.file).cmp(&(&b.type_name, &b.file)));
-        idx.test_fns
-            .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
         idx.lock_sites
             .sort_by(|a, b| (&a.file, a.line, &a.lock).cmp(&(&b.file, b.line, &b.lock)));
         idx.lock_edges.sort_by(|a, b| {
@@ -148,78 +95,10 @@ impl WorkspaceIndex {
             .dedup_by(|a, b| a.from == b.from && a.to == b.to && a.file == b.file);
         idx
     }
-
-    /// The counter vocabulary: sorted, deduplicated names of every
-    /// counter constructed in library (non-test) code, plus the
-    /// synthesised counters that have no construction site.
-    pub fn counter_vocabulary(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .counters
-            .iter()
-            .filter(|c| !c.in_test)
-            .map(|c| c.name.clone())
-            .chain(SYNTHESIZED_COUNTERS.iter().map(|s| s.to_string()))
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
-
-    /// Renders the generated vocabulary module consumed by
-    /// `trace_check --counters` (stable output: byte-identical for an
-    /// unchanged workspace, so CI can diff it).
-    pub fn render_vocab(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "//! @generated by `oeb-lint index --emit-vocab` — do not edit.\n\
-             //!\n\
-             //! Every counter name constructed in library code, plus counters the\n\
-             //! trace snapshot synthesises itself. `trace_check --counters` loads\n\
-             //! this table; the `counter-vocab-sync` lint fails when it drifts\n\
-             //! from the construction sites. Regenerate with:\n\
-             //!\n\
-             //! ```text\n\
-             //! cargo run -p oeb-lint -- index --emit-vocab\n\
-             //! ```\n\n\
-             /// Every counter name a production snapshot may contain.\n\
-             pub const KNOWN_COUNTERS: &[&str] = &[\n",
-        );
-        for name in self.counter_vocabulary() {
-            out.push_str(&format!("    \"{name}\",\n"));
-        }
-        out.push_str("];\n");
-        out
-    }
-
-    /// Serialises the index (stable field order, sorted entries).
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "files": self.file_count,
-            "counters": self.counters.iter().map(|c| serde_json::json!({
-                "name": c.name, "file": c.file, "line": c.line, "in_test": c.in_test,
-            })).collect::<Vec<_>>(),
-            "gauges": self.gauges.iter().map(|c| serde_json::json!({
-                "name": c.name, "file": c.file, "line": c.line, "in_test": c.in_test,
-            })).collect::<Vec<_>>(),
-            "exit_codes": self.exit_arms.iter().map(|a| serde_json::json!({
-                "variant": a.variant, "code": a.code, "kind": a.kind, "line": a.line,
-            })).collect::<Vec<_>>(),
-            "delta_impls": self.delta_impls.iter().map(|d| serde_json::json!({
-                "type": d.type_name, "file": d.file, "line": d.line,
-            })).collect::<Vec<_>>(),
-            "test_fns": self.test_fns.len(),
-            "lock_sites": self.lock_sites.iter().map(|s| serde_json::json!({
-                "lock": s.lock, "func": s.func, "file": s.file, "line": s.line,
-            })).collect::<Vec<_>>(),
-            "lock_edges": self.lock_edges.iter().map(|e| serde_json::json!({
-                "from": e.from, "to": e.to, "file": e.file, "line": e.line, "via": e.via,
-            })).collect::<Vec<_>>(),
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Collection pass: metrics, exit arms, delta impls, test fns, fns, statics
+// Collection pass: delta impls, test fns, fns, statics
 // ---------------------------------------------------------------------------
 
 /// A function the lock analysis will scan, with enough context to
@@ -235,12 +114,6 @@ struct FnInfo {
     /// receiver is this parameter, so call sites are the real
     /// acquisition points and the internal `.lock()` is skipped.
     wrapper_param: Option<String>,
-}
-
-impl FnInfo {
-    fn qualified(&self, files: &[SourceFile]) -> String {
-        format!("{}::{}", files[self.file_idx].path, self.name)
-    }
 }
 
 /// A `static NAME: Mutex<…>` declaration (any item nesting level).
@@ -276,7 +149,6 @@ fn collect_item(item: &Item, ctx: &mut CollectCtx) {
                 if item.is_test_item() {
                     collect_test_fn(item, body, ctx);
                 }
-                collect_exit_arms(item, body, ctx);
             }
         }
         ItemKind::Static
@@ -340,100 +212,9 @@ fn collect_test_fn(item: &Item, body: (usize, usize), ctx: &mut CollectCtx) {
         .iter()
         .any(|m| item.name.contains(m));
     ctx.idx.test_fns.push(TestFn {
-        name: item.name.clone(),
-        file: ctx.file.path.clone(),
-        line: item.start_line,
         types,
         equivalence: body_marker || name_marker,
     });
-}
-
-/// Inside `impl HarnessError`, the `exit_code()` / `kind()` bodies are
-/// single `match` expressions whose arms map variants to integer codes
-/// and kebab-case kind strings; read them off the token stream.
-fn collect_exit_arms(item: &Item, body: (usize, usize), ctx: &mut CollectCtx) {
-    if ctx.impl_type.as_deref() != Some("HarnessError") {
-        return;
-    }
-    let is_code = item.name == "exit_code";
-    let is_kind = item.name == "kind";
-    if !is_code && !is_kind {
-        return;
-    }
-    ctx.idx.exit_file = Some(ctx.file.path.clone());
-    let tokens = &ctx.file.tokens;
-    let mut i = body.0;
-    let end = body.1.min(tokens.len());
-    while i < end {
-        if tokens[i].is_ident("HarnessError")
-            && tokens.get(i + 1).is_some_and(|t| t.is_punct("::"))
-            && tokens
-                .get(i + 2)
-                .is_some_and(|t| t.kind == TokenKind::Ident)
-        {
-            let variant = tokens[i + 2].text.clone();
-            let line = tokens[i + 2].line;
-            // Scan this arm for `=>` then its value token.
-            let mut j = i + 3;
-            while j < end && !tokens[j].is_punct("=>") {
-                j += 1;
-            }
-            if let Some(value) = tokens.get(j + 1) {
-                let arm = match ctx.idx.exit_arms.iter_mut().find(|a| a.variant == variant) {
-                    Some(existing) => existing,
-                    None => {
-                        ctx.idx.exit_arms.push(ExitArm {
-                            variant: variant.clone(),
-                            code: None,
-                            kind: None,
-                            line,
-                        });
-                        ctx.idx.exit_arms.last_mut().expect("just pushed")
-                    }
-                };
-                if is_code && value.kind == TokenKind::Int {
-                    arm.code = value.text.replace('_', "").parse::<i64>().ok();
-                    arm.line = line;
-                } else if is_kind && value.kind == TokenKind::Literal {
-                    arm.kind = Some(value.text.trim_matches('"').to_string());
-                }
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// `Counter::new("…")` / `Gauge::new("…")` sites across a file.
-fn collect_metrics(file: &SourceFile, idx: &mut WorkspaceIndex) {
-    let tokens = &file.tokens;
-    for i in 0..tokens.len() {
-        let ctor = &tokens[i];
-        if !(ctor.is_ident("Counter") || ctor.is_ident("Gauge")) {
-            continue;
-        }
-        if !(tokens.get(i + 1).is_some_and(|t| t.is_punct("::"))
-            && tokens.get(i + 2).is_some_and(|t| t.is_ident("new"))
-            && tokens.get(i + 3).is_some_and(|t| t.is_punct("(")))
-        {
-            continue;
-        }
-        let Some(lit) = tokens.get(i + 4).filter(|t| t.kind == TokenKind::Literal) else {
-            continue;
-        };
-        let site = MetricSite {
-            name: lit.text.trim_matches('"').to_string(),
-            file: file.path.clone(),
-            line: lit.line,
-            in_test: file.is_test_code(ctor.line),
-        };
-        if ctor.is_ident("Counter") {
-            idx.counters.push(site);
-        } else {
-            idx.gauges.push(site);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -809,11 +590,9 @@ fn build_edges(files: &[SourceFile], fns: &[FnInfo], locks: &[FnLocks], idx: &mu
     for (fi, fl) in locks.iter().enumerate() {
         let f = &fns[fi];
         let file_path = files[f.file_idx].path.clone();
-        let func = f.qualified(files);
         for a in &fl.acqs {
             idx.lock_sites.push(LockSite {
                 lock: a.lock.clone(),
-                func: func.clone(),
                 file: file_path.clone(),
                 line: a.line,
             });
@@ -865,57 +644,6 @@ mod tests {
         let parsed: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
         let idx = WorkspaceIndex::build(&parsed);
         (parsed, idx)
-    }
-
-    #[test]
-    fn counters_are_collected_with_test_flags() {
-        let (_, idx) = ws(&[
-            (
-                "crates/a/src/lib.rs",
-                "static HIT: Counter = Counter::new(\"a.hit\");\n\
-                 #[cfg(test)]\nmod tests {\n    static T: Counter = Counter::new(\"a.test\");\n}\n",
-            ),
-            (
-                "crates/a/tests/t.rs",
-                "static X: Counter = Counter::new(\"a.integration\");\n",
-            ),
-        ]);
-        let names: Vec<(&str, bool)> = idx
-            .counters
-            .iter()
-            .map(|c| (c.name.as_str(), c.in_test))
-            .collect();
-        assert_eq!(
-            names,
-            [("a.hit", false), ("a.integration", true), ("a.test", true)]
-        );
-        let vocab = idx.counter_vocabulary();
-        assert!(vocab.contains(&"a.hit".to_string()));
-        assert!(!vocab.contains(&"a.test".to_string()));
-        assert!(vocab.contains(&"trace.events.dropped".to_string()));
-    }
-
-    #[test]
-    fn exit_arms_merge_code_and_kind() {
-        let src = "pub enum HarnessError { A(String), B }\n\
-                   impl HarnessError {\n\
-                     pub fn exit_code(&self) -> i32 {\n\
-                       match self { HarnessError::A(_) => 3, HarnessError::B => 4 }\n\
-                     }\n\
-                     pub fn kind(&self) -> &'static str {\n\
-                       match self { HarnessError::A(_) => \"a\", HarnessError::B => \"b\" }\n\
-                     }\n\
-                   }\n";
-        let (_, idx) = ws(&[("crates/oebench/src/error.rs", src)]);
-        assert_eq!(
-            idx.exit_file.as_deref(),
-            Some("crates/oebench/src/error.rs")
-        );
-        assert_eq!(idx.exit_arms.len(), 2);
-        assert_eq!(idx.exit_arms[0].variant, "A");
-        assert_eq!(idx.exit_arms[0].code, Some(3));
-        assert_eq!(idx.exit_arms[0].kind.as_deref(), Some("a"));
-        assert_eq!(idx.exit_arms[1].code, Some(4));
     }
 
     #[test]
@@ -1016,18 +744,5 @@ mod tests {
         )]);
         assert_eq!(idx.lock_sites.len(), 1);
         assert_eq!(idx.lock_sites[0].lock, "a::Slot::active");
-    }
-
-    #[test]
-    fn vocab_rendering_is_stable_and_marked_generated() {
-        let (_, idx) = ws(&[(
-            "crates/a/src/lib.rs",
-            "static H: Counter = Counter::new(\"b.z\");\nstatic I: Counter = Counter::new(\"a.a\");\n",
-        )]);
-        let text = idx.render_vocab();
-        assert!(text.starts_with("//! @generated"));
-        let a = text.find("\"a.a\"").unwrap();
-        let b = text.find("\"b.z\"").unwrap();
-        assert!(a < b, "vocabulary must be sorted");
     }
 }

@@ -7,23 +7,30 @@
 //! workers that never die on malformed input. Proptests catch
 //! violations after the fact; this crate catches them at review time.
 //!
+//! Most of these invariants are checked by stock tooling: `clippy.toml`
+//! bans clock reads outside oeb-trace and hash-ordered collections,
+//! `[workspace.lints]` bans exact float comparison, the kernel crates
+//! warn on `unwrap`/`expect`, the `rand` shim has no entropy-seeded
+//! constructor, the counter vocabulary is the
+//! `oeb_trace::counters` registry, and a unit test in oeb-core pins the
+//! exit-code table. This crate keeps the five rules neither clippy nor
+//! a type can express.
+//!
 //! Pipeline: a hand-rolled [`lexer`] turns each `.rs` file into a
 //! line/column-tracked token stream; [`parser`] builds an item forest
 //! (fns, impls, mods, attributes) on top of it; [`engine`] classifies
 //! the file (library / test / bench / example, parser-derived
 //! `#[cfg(test)]` regions, inline `// oeb-lint: allow(..)`
-//! suppressions); [`rules`] runs seven per-file token checks over the
-//! comment-free tokens. A second, workspace-level layer —
-//! [`index`] (one-pass serialisable index of metric sites, exit arms,
-//! `DeltaStat` impls, test fns, and lock acquisitions) feeding
-//! [`semantic`] — runs five cross-file contract rules: counter
-//! vocabulary sync, the exit-code registry, delta-equivalence test
+//! suppressions); [`rules`] runs two per-file token checks over the
+//! comment-free tokens (`nan-partial-cmp`, and the constant-index half
+//! of `panic-in-library`). A second, workspace-level layer — [`index`]
+//! (`DeltaStat` impls, test fns, and lock acquisitions) feeding
+//! [`semantic`] — runs three cross-file rules: delta-equivalence test
 //! coverage, lock-order cycles, and stale suppressions. The `oeb-lint`
 //! binary walks the workspace and gates CI:
 //!
 //! ```text
 //! cargo run -p oeb-lint -- check [--json] [--fix-hints] [--time-budget-ms N]
-//! cargo run -p oeb-lint -- index [--json] [--emit-vocab [PATH]]
 //! cargo run -p oeb-lint -- rules
 //! ```
 
@@ -34,7 +41,7 @@ pub mod parser;
 pub mod rules;
 pub mod semantic;
 
-pub use engine::{check_file, to_json, Diagnostic, FileKind, Severity, SourceFile};
+pub use engine::{check_file, to_json, Diagnostic, FileKind, SourceFile};
 pub use index::WorkspaceIndex;
 pub use rules::{all as all_rules, Rule};
 pub use semantic::Workspace;
@@ -75,9 +82,6 @@ pub fn workspace_files(root: &std::path::Path) -> std::io::Result<Vec<String>> {
 /// Runs the full pipeline over the workspace under `root`: token rules
 /// per file, semantic rules over the index, stale-suppression analysis,
 /// suppressions applied.
-pub fn check_workspace(
-    root: &std::path::Path,
-    warn_rules: &[String],
-) -> std::io::Result<Vec<Diagnostic>> {
-    Ok(Workspace::load(root)?.check(warn_rules))
+pub fn check_workspace(root: &std::path::Path) -> std::io::Result<Vec<Diagnostic>> {
+    Ok(Workspace::load(root)?.check())
 }

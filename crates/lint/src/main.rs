@@ -1,43 +1,37 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! oeb-lint check [--json] [--fix-hints] [--warn <rule>]... [--root <dir>]
-//!                [--time-budget-ms <n>] [paths...]
-//! oeb-lint index [--json] [--emit-vocab [<path>]] [--root <dir>]
+//! oeb-lint check [--json] [--fix-hints] [--root <dir>] [--time-budget-ms <n>] [paths...]
 //! oeb-lint rules
 //! ```
 //!
 //! A whole-workspace `check` runs the token rules, the index-driven
 //! semantic rules, and the stale-suppression analysis; `check` with
 //! explicit paths runs the token rules only (semantic contracts are
-//! workspace properties and need every file). `index` builds and
-//! prints the workspace index, and `--emit-vocab` writes the generated
-//! counter vocabulary consumed by `trace_check --counters`.
+//! workspace properties and need every file).
 //!
-//! Exit codes: 0 clean (warnings allowed), 1 violations at error
-//! severity or a blown time budget, 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 violations or a blown time budget, 2 usage
+//! or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use oeb_lint::engine::{check_file, render_human, to_json, Severity, SourceFile};
-use oeb_lint::semantic::{is_known_rule, SEMANTIC_RULES};
+use oeb_lint::engine::{check_file, render_human, to_json, SourceFile};
+use oeb_lint::semantic::SEMANTIC_RULES;
 use oeb_lint::{rules, Workspace};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("check") => run_check(&args[1..]),
-        Some("index") => run_index(&args[1..]),
         Some("rules") => {
             print_rules();
             ExitCode::SUCCESS
         }
         _ => {
             eprintln!(
-                "usage: oeb-lint <check [--json] [--fix-hints] [--warn <rule>]... [--root <dir>] \
-                 [--time-budget-ms <n>] [paths...] | index [--json] [--emit-vocab [<path>]] \
-                 [--root <dir>] | rules>"
+                "usage: oeb-lint <check [--json] [--fix-hints] [--root <dir>] \
+                 [--time-budget-ms <n>] [paths...] | rules>"
             );
             ExitCode::from(2)
         }
@@ -47,11 +41,8 @@ fn main() -> ExitCode {
 fn print_rules() {
     for r in rules::all() {
         println!(
-            "{} [{}]\n    invariant: {}\n    hint: {}",
-            r.name,
-            r.severity.label(),
-            r.invariant,
-            r.hint
+            "{} [error]\n    invariant: {}\n    hint: {}",
+            r.name, r.invariant, r.hint
         );
     }
     for (name, invariant, hint) in SEMANTIC_RULES {
@@ -62,7 +53,6 @@ fn print_rules() {
 fn run_check(args: &[String]) -> ExitCode {
     let mut json = false;
     let mut fix_hints = false;
-    let mut warn_rules: Vec<String> = Vec::new();
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut time_budget_ms: Option<u64> = None;
@@ -71,17 +61,6 @@ fn run_check(args: &[String]) -> ExitCode {
         match arg.as_str() {
             "--json" => json = true,
             "--fix-hints" => fix_hints = true,
-            "--warn" => match it.next() {
-                Some(name) if is_known_rule(name) => warn_rules.push(name.clone()),
-                Some(name) => {
-                    eprintln!("oeb-lint: unknown rule `{name}` (see `oeb-lint rules`)");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("oeb-lint: --warn needs a rule name");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match it.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -124,7 +103,7 @@ fn run_check(args: &[String]) -> ExitCode {
             }
         };
         let n = ws.files.len();
-        (ws.check(&warn_rules), n)
+        (ws.check(), n)
     } else {
         let mut diags = Vec::new();
         for rel in &paths {
@@ -135,18 +114,14 @@ fn run_check(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            diags.extend(check_file(&file, &warn_rules));
+            diags.extend(check_file(&file));
         }
         let n = paths.len();
         (diags, n)
     };
     let elapsed_ms = watch.elapsed_seconds() * 1e3;
 
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let warnings = diags.len() - errors;
+    let errors = diags.len();
     if json {
         match serde_json::to_string_pretty(&to_json(&diags)) {
             Ok(s) => println!("{s}"),
@@ -161,8 +136,7 @@ fn run_check(args: &[String]) -> ExitCode {
         }
         let rule_count = rules::all().len() + SEMANTIC_RULES.len();
         println!(
-            "oeb-lint: {file_count} files, {rule_count} rules, {errors} errors, {warnings} warnings \
-             ({elapsed_ms:.0} ms)"
+            "oeb-lint: {file_count} files, {rule_count} rules, {errors} errors ({elapsed_ms:.0} ms)"
         );
     }
     let mut failed = errors > 0;
@@ -177,90 +151,6 @@ fn run_check(args: &[String]) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn run_index(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut emit_vocab: Option<Option<String>> = None;
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--emit-vocab" => {
-                // Optional value: the next non-flag argument, else the
-                // canonical generated path.
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with('-') => Some(it.next().cloned().unwrap_or_default()),
-                    _ => None,
-                };
-                emit_vocab = Some(value);
-            }
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("oeb-lint: --root needs a directory");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("oeb-lint: unknown index argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let root = match root.or_else(default_root) {
-        Some(r) => r,
-        None => {
-            eprintln!("oeb-lint: could not locate the workspace root (pass --root)");
-            return ExitCode::from(2);
-        }
-    };
-    let ws = match Workspace::load(&root) {
-        Ok(ws) => ws,
-        Err(e) => {
-            eprintln!("oeb-lint: loading {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = emit_vocab {
-        let rel = path.unwrap_or_else(|| "crates/bench/src/counter_vocab.rs".to_string());
-        let target = root.join(&rel);
-        if let Err(e) = std::fs::write(&target, ws.index.render_vocab()) {
-            eprintln!("oeb-lint: writing {}: {e}", target.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "oeb-lint: wrote {} counters to {rel}",
-            ws.index.counter_vocabulary().len()
-        );
-        return ExitCode::SUCCESS;
-    }
-    if json {
-        match serde_json::to_string_pretty(&ws.index.to_json()) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("oeb-lint: serialising index: {e:?}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        let idx = &ws.index;
-        println!(
-            "oeb-lint index: {} files, {} counters ({} in vocabulary), {} gauges, \
-             {} exit codes, {} DeltaStat impls, {} test fns, {} lock sites, {} lock edges",
-            idx.file_count,
-            idx.counters.len(),
-            idx.counter_vocabulary().len(),
-            idx.gauges.len(),
-            idx.exit_arms.len(),
-            idx.delta_impls.len(),
-            idx.test_fns.len(),
-            idx.lock_sites.len(),
-            idx.lock_edges.len()
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 /// The workspace root: the manifest dir's grandparent when cargo runs

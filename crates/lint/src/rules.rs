@@ -1,17 +1,17 @@
-//! The rule set: each rule encodes one workspace invariant that the
-//! compiler cannot check. Rules are heuristic by design — they match
-//! token shapes, not types — and every rule supports inline
+//! The per-file token rules: the two invariants neither clippy nor the
+//! type system expresses (see DESIGN.md, "Static invariants", for the
+//! clippy lints that hold the others). Rules are heuristic by design —
+//! they match token shapes, not types — and every rule supports inline
 //! `// oeb-lint: allow(<rule>)` suppression for the cases where a human
-//! has judged the pattern safe (see DESIGN.md, "Static invariants").
+//! has judged the pattern safe.
 
-use crate::engine::{diag, Diagnostic, FileKind, Severity, SourceFile};
+use crate::engine::{diag, Diagnostic, FileKind, SourceFile};
 use crate::lexer::{Token, TokenKind};
 
 /// One registered rule.
 pub struct Rule {
     /// Kebab-case rule id, as used in `allow(...)`.
     pub name: &'static str,
-    pub severity: Severity,
     /// The invariant the rule encodes, for `oeb-lint rules` and docs.
     pub invariant: &'static str,
     /// Fix hint attached to every diagnostic of this rule.
@@ -21,7 +21,8 @@ pub struct Rule {
 
 /// Crates whose `src/` is held to panic-hygiene rules: numeric and
 /// streaming kernels that run inside panic-isolated sweep workers,
-/// where a panic costs a whole (dataset, algorithm) cell.
+/// where a panic costs a whole (dataset, algorithm) cell. The same nine
+/// crates warn on `clippy::unwrap_used`/`expect_used` in their `lib.rs`.
 const KERNEL_CRATES: &[&str] = &[
     "drift",
     "faults",
@@ -38,42 +39,7 @@ const KERNEL_CRATES: &[&str] = &[
 pub fn all() -> &'static [Rule] {
     &[
         Rule {
-            name: "nondeterministic-iteration",
-            severity: Severity::Error,
-            invariant: "ordered output never derives from HashMap/HashSet iteration order \
-                        without a subsequent total sort",
-            hint: "collect then sort with a total key (e.g. `(Reverse(count), name)`), \
-                   or use a BTreeMap/BTreeSet",
-            check: nondeterministic_iteration,
-        },
-        Rule {
-            name: "unseeded-rng",
-            severity: Severity::Error,
-            invariant: "every random source is seeded; results are bit-identical across runs",
-            hint: "use `StdRng::seed_from_u64(seed)` with a seed threaded from the config",
-            check: unseeded_rng,
-        },
-        Rule {
-            name: "wall-clock-in-results",
-            severity: Severity::Error,
-            invariant: "result values never depend on the wall clock (timing lives in \
-                        crates/bench)",
-            hint: "move timing into crates/bench, or annotate why the measured duration \
-                   is itself the reported metric",
-            check: wall_clock_in_results,
-        },
-        Rule {
-            name: "raw-instant",
-            severity: Severity::Error,
-            invariant: "clock reads go through oeb-trace (`Stopwatch` / spans); \
-                        `Instant::now`/`SystemTime::now` appear only in crates/trace",
-            hint: "use `oeb_trace::Stopwatch::start()` (and `elapsed_seconds`/`stop`) \
-                   instead of reading the clock directly",
-            check: raw_instant,
-        },
-        Rule {
             name: "nan-partial-cmp",
-            severity: Severity::Error,
             invariant: "float comparisons never panic on NaN",
             hint: "use `total_cmp`, or make the NaN policy explicit with \
                    `partial_cmp(..).unwrap_or(Ordering::..)`",
@@ -81,115 +47,18 @@ pub fn all() -> &'static [Rule] {
         },
         Rule {
             name: "panic-in-library",
-            severity: Severity::Error,
-            invariant: "kernel crates do not panic on malformed input \
-                        (unwrap/expect/constant indexing)",
+            invariant: "kernel crates do not index with a constant literal, which panics \
+                        on short input",
             hint: "return a Result/Option, use `.get(i)`, or allow-annotate with the \
                    invariant that makes the panic unreachable",
             check: panic_in_library,
         },
-        Rule {
-            name: "float-eq",
-            severity: Severity::Error,
-            invariant: "floats are never compared with `==`/`!=` against literals",
-            hint: "compare with an epsilon (`(x - y).abs() < tol`), or allow-annotate \
-                   an intentional exact comparison (e.g. a zero-pivot guard)",
-            check: float_eq,
-        },
     ]
 }
 
-/// Looks up a rule by name (used by the CLI to validate `--warn`).
+/// Looks up a rule by name.
 pub fn by_name(name: &str) -> Option<&'static Rule> {
     all().iter().find(|r| r.name == name)
-}
-
-// --- unseeded-rng -------------------------------------------------------
-
-/// Constructors that pull entropy from the environment. Any one of them
-/// makes a run irreproducible, so they are banned everywhere — tests
-/// and examples included.
-fn unseeded_rng(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
-    file.tokens
-        .iter()
-        .filter(|t| {
-            t.kind == TokenKind::Ident
-                && matches!(t.text.as_str(), "thread_rng" | "from_entropy" | "OsRng")
-        })
-        .map(|t| {
-            diag(
-                rule,
-                file,
-                t,
-                format!("`{}` draws entropy from the environment", t.text),
-            )
-        })
-        .collect()
-}
-
-// --- wall-clock-in-results ----------------------------------------------
-
-/// `Instant::now` / `SystemTime` outside `crates/bench` and
-/// `crates/trace` and outside test/bench/example code: wall-clock
-/// readings must not flow into result artifacts. (`crates/trace` is the
-/// sanctioned clock owner; `raw-instant` polices everything else.)
-fn wall_clock_in_results(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
-    if matches!(file.crate_name.as_deref(), Some("bench") | Some("trace")) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in file.tokens.iter().enumerate() {
-        if file.is_test_code(t.line) || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let flagged = match t.text.as_str() {
-            "SystemTime" => true,
-            "Instant" => {
-                ident_at(&file.tokens, i + 2, "now") && punct_at(&file.tokens, i + 1, "::")
-            }
-            _ => false,
-        };
-        if flagged {
-            out.push(diag(
-                rule,
-                file,
-                t,
-                format!("`{}` reads the wall clock outside crates/bench", t.text),
-            ));
-        }
-    }
-    out
-}
-
-// --- raw-instant --------------------------------------------------------
-
-/// `Instant::now()` / `SystemTime::now()` anywhere outside
-/// `crates/trace` — tests, benches, and binaries included. oeb-trace's
-/// `Stopwatch` wraps the same clock behind one audited crate, so every
-/// timing site stays span-capable and the bit-identity contract
-/// (wall-clock only in trace output channels, never in results) has a
-/// single place to verify.
-fn raw_instant(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
-    if file.crate_name.as_deref() == Some("trace") {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in file.tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident
-            || !matches!(t.text.as_str(), "Instant" | "SystemTime")
-            || !punct_at(&file.tokens, i + 1, "::")
-            || !ident_at(&file.tokens, i + 2, "now")
-        {
-            continue;
-        }
-        out.push(diag(
-            rule,
-            file,
-            t,
-            format!("`{}::now` reads the clock outside crates/trace", t.text),
-        ));
-    }
-    out
 }
 
 // --- nan-partial-cmp ----------------------------------------------------
@@ -220,50 +89,13 @@ fn nan_partial_cmp(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-// --- float-eq -----------------------------------------------------------
-
-/// `==` / `!=` with a float literal (or `f64::NAN`-style constant) on
-/// either side. Library code only: tests legitimately assert exact
-/// values that the code under test produced deterministically.
-fn float_eq(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (i, t) in file.tokens.iter().enumerate() {
-        if !(t.is_punct("==") || t.is_punct("!=")) || file.is_test_code(t.line) {
-            continue;
-        }
-        let prev_is_float = i > 0 && file.tokens[i - 1].kind == TokenKind::Float;
-        // Right side: optional unary minus, then a float literal or a
-        // `f64::NAN` / `f32::INFINITY` style constant.
-        let mut j = i + 1;
-        if punct_at(&file.tokens, j, "-") {
-            j += 1;
-        }
-        let next_is_float = file
-            .tokens
-            .get(j)
-            .is_some_and(|n| n.kind == TokenKind::Float);
-        let next_is_nan_const = file
-            .tokens
-            .get(j)
-            .is_some_and(|n| n.text == "f64" || n.text == "f32")
-            && punct_at(&file.tokens, j + 1, "::");
-        if prev_is_float || next_is_float || next_is_nan_const {
-            out.push(diag(
-                rule,
-                file,
-                t,
-                format!("`{}` compares a float for exact equality", t.text),
-            ));
-        }
-    }
-    out
-}
-
 // --- panic-in-library ---------------------------------------------------
 
-/// `unwrap` / `expect` / constant-literal indexing in non-test code of
-/// kernel crates. Each surviving use carries an allow-annotation naming
-/// the invariant that makes it unreachable.
+/// Constant-literal indexing in non-test code of kernel crates (the
+/// unwrap/expect half is `clippy::unwrap_used`/`expect_used`). Each
+/// surviving use carries an allow-annotation naming the invariant that
+/// makes it unreachable. Clippy's `indexing_slicing` would flag every
+/// index, about 550 sites in these crates.
 fn panic_in_library(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
     let in_kernel = file.kind == FileKind::Library
         && file
@@ -277,17 +109,6 @@ fn panic_in_library(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
     for (i, t) in file.tokens.iter().enumerate() {
         if file.is_test_code(t.line) {
             continue;
-        }
-        if (t.is_ident("unwrap") || t.is_ident("expect"))
-            && i > 0
-            && punct_at(&file.tokens, i - 1, ".")
-        {
-            out.push(diag(
-                rule,
-                file,
-                t,
-                format!("`.{}()` can panic in kernel code", t.text),
-            ));
         }
         // `expr[3]`: an integer literal index directly after an index-able
         // expression (`ident[`, `)[`, `][`). Array literals (`[0; 4]`,
@@ -320,172 +141,7 @@ fn indexable_end(t: &Token) -> bool {
     t.kind == TokenKind::Ident || t.is_punct(")") || t.is_punct("]")
 }
 
-// --- nondeterministic-iteration -----------------------------------------
-
-/// Iteration methods whose order reflects the hash map's internal
-/// layout.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-];
-
-/// Identifiers that make a downstream use order-insensitive (a total
-/// sort) or order-restoring (an ordered collection), plus reductions
-/// that are commutative over the element types this workspace uses.
-const ORDER_ABSOLVERS: &[&str] = &[
-    "sort",
-    "sort_by",
-    "sort_by_key",
-    "sort_by_cached_key",
-    "sort_unstable",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-    "BTreeMap",
-    "BTreeSet",
-    "BinaryHeap",
-    "sum",
-    "count",
-    "len",
-    "min",
-    "max",
-    "all",
-    "any",
-    "contains",
-    "contains_key",
-    "is_empty",
-];
-
-/// Flags iteration over identifiers bound to `HashMap`/`HashSet` unless
-/// a sort (or another order-insensitive consumer) appears within the
-/// same or the next statement. Flow-insensitive and file-local on
-/// purpose: a cross-function false positive is one `allow` away, a
-/// missed unordered iteration is a flaky results table.
-fn nondeterministic_iteration(rule: &Rule, file: &SourceFile) -> Vec<Diagnostic> {
-    let tracked = hash_bound_names(&file.tokens);
-    if tracked.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in file.tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || !tracked.contains(&t.text) {
-            continue;
-        }
-        // `name.iter()` / `name.keys()` / … or a bare `for x in name {`.
-        let method_iter = punct_at(&file.tokens, i + 1, ".")
-            && file
-                .tokens
-                .get(i + 2)
-                .is_some_and(|m| ITER_METHODS.contains(&m.text.as_str()));
-        let for_iter = is_for_in_target(&file.tokens, i);
-        if !(method_iter || for_iter) {
-            continue;
-        }
-        if absolved(&file.tokens, i) {
-            continue;
-        }
-        out.push(diag(
-            rule,
-            file,
-            t,
-            format!(
-                "iteration over hash-ordered `{}` reaches ordered output",
-                t.text
-            ),
-        ));
-    }
-    out
-}
-
-/// Collects identifiers bound to a `HashMap`/`HashSet` anywhere in the
-/// file: `let [mut] name: HashMap<..>`, struct fields and fn params
-/// (`name: &mut HashMap<..>`), and `let name = HashMap::new()`.
-fn hash_bound_names(tokens: &[Token]) -> Vec<String> {
-    let mut names = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            continue;
-        }
-        // Walk left over `&`, `mut`, `<` (nested generics) to the binder.
-        let mut j = i;
-        while j > 0 && (tokens[j - 1].is_punct("&") || tokens[j - 1].is_ident("mut")) {
-            j -= 1;
-        }
-        let name = if j >= 2
-            && tokens[j - 1].is_punct(":")
-            && tokens[j - 2].kind == TokenKind::Ident
-        {
-            // `name: HashMap<..>` — annotation, field, or param.
-            Some(tokens[j - 2].text.clone())
-        } else if j >= 2 && tokens[j - 1].is_punct("=") && tokens[j - 2].kind == TokenKind::Ident {
-            // `let name = HashMap::new()`.
-            Some(tokens[j - 2].text.clone())
-        } else {
-            None
-        };
-        if let Some(n) = name {
-            if !names.contains(&n) {
-                names.push(n);
-            }
-        }
-    }
-    names
-}
-
-/// True when token `i` is the iterated expression of a `for` loop:
-/// `for <pat> in [&][mut] name {`. The name must head the expression
-/// (`for x in map.keys()` is handled by the method pattern instead).
-fn is_for_in_target(tokens: &[Token], i: usize) -> bool {
-    // Walk left over `&` / `mut` to the `in`.
-    let mut j = i;
-    while j > 0 && (tokens[j - 1].is_punct("&") || tokens[j - 1].is_ident("mut")) {
-        j -= 1;
-    }
-    if !(j > 0 && tokens[j - 1].is_ident("in")) {
-        return false;
-    }
-    // Reject `for x in name.something()` — the method pattern owns it.
-    if punct_at(tokens, i + 1, ".") {
-        return false;
-    }
-    // Confirm a `for` opens this construct within a short window
-    // (patterns are small: `for (k, v) in …`).
-    tokens[..j.saturating_sub(1)]
-        .iter()
-        .rev()
-        .take(12)
-        .any(|t| t.is_ident("for"))
-}
-
-/// Looks ahead from the iteration site to the end of the *next*
-/// statement for a sort or an order-insensitive consumer.
-fn absolved(tokens: &[Token], i: usize) -> bool {
-    let mut semis = 0;
-    for t in tokens.iter().skip(i + 1).take(90) {
-        if t.kind == TokenKind::Ident && ORDER_ABSOLVERS.contains(&t.text.as_str()) {
-            return true;
-        }
-        if t.is_punct(";") {
-            semis += 1;
-            if semis == 2 {
-                return false;
-            }
-        }
-    }
-    false
-}
-
 // --- small token helpers ------------------------------------------------
-
-fn ident_at(tokens: &[Token], i: usize, text: &str) -> bool {
-    tokens.get(i).is_some_and(|t| t.is_ident(text))
-}
 
 fn punct_at(tokens: &[Token], i: usize, text: &str) -> bool {
     tokens.get(i).is_some_and(|t| t.is_punct(text))

@@ -1,7 +1,3 @@
-pub fn head(xs: &[f64]) -> f64 {
-    xs.first().copied().unwrap()
-}
-
 pub fn second(xs: &[f64]) -> f64 {
     xs[1]
 }

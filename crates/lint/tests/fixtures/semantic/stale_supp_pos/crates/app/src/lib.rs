@@ -1,4 +1,4 @@
-// oeb-lint: allow-file(unseeded-rng) -- stale: this module no longer owns an RNG
+// oeb-lint: allow-file(panic-in-library) -- stale: this crate is no longer a kernel crate
 use std::cmp::Ordering;
 
 pub fn compare(a: f64, b: f64) -> Ordering {
@@ -6,7 +6,7 @@ pub fn compare(a: f64, b: f64) -> Ordering {
     a.partial_cmp(&b).unwrap()
 }
 
-// oeb-lint: allow(float-eq) -- stale: the equality check moved to integers long ago
+// oeb-lint: allow(nan-partial-cmp) -- stale: the comparison moved to integers long ago
 pub fn both_zero(a: u32, b: u32) -> bool {
     a == 0 && b == 0
 }

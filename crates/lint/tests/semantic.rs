@@ -1,4 +1,4 @@
-//! Golden tests for the five workspace-level semantic rules. Each
+//! Golden tests for the three workspace-level semantic rules. Each
 //! fixture under `tests/fixtures/semantic/` is a miniature workspace:
 //! the `_pos` variant must produce exactly the diagnostics listed in
 //! its `expected.txt` (one `<file> <line> <rule>` triple per line),
@@ -6,8 +6,7 @@
 //! `oeb-lint: allow(...)` comment at every diagnostic site — must
 //! produce none. Running `Workspace::load` + `check` end-to-end also
 //! exercises the parser and index on inputs the real workspace never
-//! provides (orphan vocabulary entries, non-dense exit codes, lock
-//! inversions).
+//! provides (uncovered delta types, lock inversions, stale allows).
 
 use std::path::{Path, PathBuf};
 
@@ -24,7 +23,7 @@ fn fixture_root(name: &str) -> PathBuf {
 fn run(name: &str) -> Vec<String> {
     let root = fixture_root(name);
     let ws = Workspace::load(&root).unwrap_or_else(|e| panic!("load {name}: {e}"));
-    ws.check(&[])
+    ws.check()
         .iter()
         .map(|d| format!("{} {} {}", d.file, d.line, d.rule))
         .collect()
@@ -46,26 +45,6 @@ fn assert_fixture(name: &str) {
         got, want,
         "fixture {name}: diagnostics diverge from expected.txt\n  got:  {got:#?}\n  want: {want:#?}"
     );
-}
-
-#[test]
-fn counter_vocab_sync_positive() {
-    assert_fixture("counter_vocab_pos");
-}
-
-#[test]
-fn counter_vocab_sync_suppressed() {
-    assert_fixture("counter_vocab_allow");
-}
-
-#[test]
-fn exit_code_registry_positive() {
-    assert_fixture("exit_code_pos");
-}
-
-#[test]
-fn exit_code_registry_suppressed() {
-    assert_fixture("exit_code_allow");
 }
 
 #[test]
@@ -103,6 +82,6 @@ fn stale_suppression_suppressed() {
 /// iteration (files are sorted during the walk).
 #[test]
 fn fixture_diagnostics_are_deterministic() {
-    assert_eq!(run("exit_code_pos"), run("exit_code_pos"));
+    assert_eq!(run("stale_supp_pos"), run("stale_supp_pos"));
     assert_eq!(run("lock_order_pos"), run("lock_order_pos"));
 }

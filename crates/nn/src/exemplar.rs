@@ -138,7 +138,11 @@ fn herd(model: &Mlp, pool: &[Vec<f64>], members: &[usize], quota: usize) -> Vec<
                 _ => best = Some((slot, d)),
             }
         }
-        let (slot, _) = best.expect("unused candidates remain"); // oeb-lint: allow(panic-in-library) -- k <= reprs.len() leaves a free slot each round
+        #[expect(
+            clippy::expect_used,
+            reason = "k <= reprs.len() leaves a free slot each round"
+        )]
+        let (slot, _) = best.expect("unused candidates remain");
         used[slot] = true;
         for (s, &v) in chosen_sum.iter_mut().zip(&reprs[slot]) {
             *s += v;

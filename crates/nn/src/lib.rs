@@ -7,6 +7,12 @@
 //! [`trainer::Regularizer`]), and the iCaRL herding exemplar buffer
 //! ([`exemplar::ExemplarBuffer`]).
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
 // Index loops over parallel numeric buffers are clearer than iterator
 // chains in these kernels.
 #![allow(clippy::needless_range_loop)]

@@ -8,12 +8,9 @@
 //! network up (loss → ∞) is a behaviour this reproduction must preserve.
 
 use oeb_linalg::{kernels, Matrix};
-use oeb_trace::Counter;
+use oeb_trace::counters::TRAIN_MLP_GEMM_BATCHES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Mini-batches trained through the batched GEMM path.
-static GEMM_BATCHES: Counter = Counter::new("train.mlp.gemm_batches");
 
 /// The learning objective of the output head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,8 +154,9 @@ impl Mlp {
     }
 
     /// Output width.
+    #[expect(clippy::expect_used, reason = "layers non-empty by construction")]
     pub fn output_dim(&self) -> usize {
-        self.layers.last().expect("non-empty").n_out // oeb-lint: allow(panic-in-library) -- layers non-empty by construction
+        self.layers.last().expect("non-empty").n_out
     }
 
     /// Flattened copy of all parameters (weights then biases, per layer).
@@ -265,7 +263,7 @@ impl Mlp {
         if rows.is_empty() {
             return 0.0;
         }
-        GEMM_BATCHES.incr();
+        TRAIN_MLP_GEMM_BATCHES.incr();
         let n_layers = self.layers.len();
         let batch = rows.len();
         // The scratch moves out of `self` for the duration of the step so
@@ -631,7 +629,11 @@ impl Mlp {
             acts.push(next.clone());
             std::mem::swap(&mut cur, &mut next);
         }
-        let out = acts.last().expect("output"); // oeb-lint: allow(panic-in-library) -- forward() yields one activation per layer
+        #[expect(
+            clippy::expect_used,
+            reason = "forward() yields one activation per layer"
+        )]
+        let out = acts.last().expect("output");
         let mut delta: Vec<f64> = match self.objective {
             Objective::CrossEntropy => {
                 let mut p = softmax(out);

@@ -196,52 +196,89 @@ impl std::error::Error for HarnessError {}
 mod tests {
     use super::*;
 
+    /// One value of every variant, built through an exhaustive match:
+    /// each arm names the variant after it, so a new variant does not
+    /// compile until it joins the chain.
     fn variants() -> Vec<HarnessError> {
-        vec![
-            HarnessError::InvalidConfig("k = 0".into()),
-            HarnessError::NotApplicable {
-                algorithm: "ARF".into(),
-                task: "Regression".into(),
-            },
-            HarnessError::InsufficientWindows { found: 1 },
-            HarnessError::EmptyStream,
-            HarnessError::SchemaMismatch {
-                window: 3,
-                expected: 10,
-                got: 9,
-            },
-            HarnessError::ImputationFailed {
-                window: 2,
-                detail: "NaN left".into(),
-            },
-            HarnessError::NonFiniteLoss {
-                window: 8,
-                retries: 2,
-            },
-            HarnessError::Panicked("index out of bounds".into()),
-            HarnessError::Io("permission denied".into()),
-            HarnessError::Checkpoint("truncated line".into()),
-            HarnessError::CellTimedOut {
-                windows: 5,
-                items: 200,
-                wall: false,
-            },
-            HarnessError::Quarantined {
-                attempts: 3,
-                last_kind: "panicked".into(),
-                reason: "run panicked: boom".into(),
-            },
-        ]
+        let mut all = vec![HarnessError::InvalidConfig("k = 0".into())];
+        loop {
+            let next = match &all[all.len() - 1] {
+                HarnessError::InvalidConfig(_) => HarnessError::NotApplicable {
+                    algorithm: "ARF".into(),
+                    task: "Regression".into(),
+                },
+                HarnessError::NotApplicable { .. } => {
+                    HarnessError::InsufficientWindows { found: 1 }
+                }
+                HarnessError::InsufficientWindows { .. } => HarnessError::EmptyStream,
+                HarnessError::EmptyStream => HarnessError::SchemaMismatch {
+                    window: 3,
+                    expected: 10,
+                    got: 9,
+                },
+                HarnessError::SchemaMismatch { .. } => HarnessError::ImputationFailed {
+                    window: 2,
+                    detail: "NaN left".into(),
+                },
+                HarnessError::ImputationFailed { .. } => HarnessError::NonFiniteLoss {
+                    window: 8,
+                    retries: 2,
+                },
+                HarnessError::NonFiniteLoss { .. } => {
+                    HarnessError::Panicked("index out of bounds".into())
+                }
+                HarnessError::Panicked(_) => HarnessError::Io("permission denied".into()),
+                HarnessError::Io(_) => HarnessError::Checkpoint("truncated line".into()),
+                HarnessError::Checkpoint(_) => HarnessError::CellTimedOut {
+                    windows: 5,
+                    items: 200,
+                    wall: false,
+                },
+                HarnessError::CellTimedOut { .. } => HarnessError::Quarantined {
+                    attempts: 3,
+                    last_kind: "panicked".into(),
+                    reason: "run panicked: boom".into(),
+                },
+                HarnessError::Quarantined { .. } => return all,
+            };
+            all.push(next);
+        }
     }
 
+    /// EXIT_CODES.md is the registry calling scripts read: its typed
+    /// rows (code >= 3) must be exactly the `| code | kind |` pairs the
+    /// source defines, the codes dense from 3, and the README must link
+    /// the table.
     #[test]
-    fn exit_codes_are_distinct_and_nonzero() {
-        let codes: Vec<i32> = variants().iter().map(HarnessError::exit_code).collect();
-        let mut unique = codes.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), codes.len(), "duplicate exit codes");
-        assert!(codes.iter().all(|&c| c > 2), "codes collide with 0/1/2");
+    fn exit_code_table_matches_the_registry() {
+        let mut all = variants();
+        all.sort_by_key(HarnessError::exit_code);
+        let codes: Vec<i32> = all.iter().map(HarnessError::exit_code).collect();
+        let dense: Vec<i32> = (3..).take(all.len()).collect();
+        assert_eq!(codes, dense, "exit codes must be dense and unique from 3");
+
+        let rendered: Vec<String> = all
+            .iter()
+            .map(|e| format!("| {} | {} |", e.exit_code(), e.kind()))
+            .collect();
+        let table: Vec<String> = include_str!("../../../EXIT_CODES.md")
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                match cells.as_slice() {
+                    ["", code, kind, ..] if code.parse::<i32>().is_ok_and(|c| c >= 3) => {
+                        Some(format!("| {code} | {kind} |"))
+                    }
+                    _ => None,
+                }
+            })
+            .collect();
+        assert_eq!(table, rendered, "EXIT_CODES.md drifted from HarnessError");
+
+        assert!(
+            include_str!("../../../README.md").contains("EXIT_CODES.md"),
+            "README.md must link the exit-code table"
+        );
     }
 
     #[test]

@@ -22,19 +22,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use oeb_trace::{Counter, Gauge, SpanDef};
+use oeb_trace::counters::{
+    EXECUTOR_CLAIMS, EXECUTOR_PARALLEL_RUNS, EXECUTOR_SEQUENTIAL_RUNS, EXECUTOR_WATCHDOG_FIRED,
+};
+use oeb_trace::{Gauge, SpanDef};
 
 /// `executor.*` instruments are the one family *excluded* from the
 /// schedule-invariance contract: which worker claims which index is real
-/// scheduling information, and that is exactly what they report. The
-/// watchdog counter belongs here for the same reason: whether a wall
-/// clock expires depends on the machine, never on the computation.
-static CLAIMS: Counter = Counter::new("executor.claims");
-static SEQUENTIAL_RUNS: Counter = Counter::new("executor.sequential_runs");
-static PARALLEL_RUNS: Counter = Counter::new("executor.parallel_runs");
+/// scheduling information, and that is exactly what they report.
 static QUEUE_DEPTH: Gauge = Gauge::new("executor.queue.depth");
 static WORKERS: Gauge = Gauge::new("executor.workers");
-static WATCHDOG_FIRED: Counter = Counter::new("executor.watchdog.fired");
 static WORKER_SPAN: SpanDef = SpanDef::new("executor.worker");
 static TASK_SPAN: SpanDef = SpanDef::new("executor.task");
 
@@ -141,7 +138,10 @@ impl WatchdogSlot {
             return CancelFlag::never();
         }
         let flag = CancelFlag::armed();
-        // oeb-lint: allow(raw-instant, wall-clock-in-results) -- watchdog deadline origin; the reading only feeds the cancel flag, never a result field
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "watchdog deadline origin; the reading only feeds the cancel flag, never a result field"
+        )]
         let started = std::time::Instant::now();
         *lock_recover(&self.active) = Some((started, flag.clone()));
         flag
@@ -164,7 +164,7 @@ impl WatchdogSlot {
         if let Some((started, flag)) = active.as_ref() {
             if started.elapsed() >= deadline {
                 flag.cancel();
-                WATCHDOG_FIRED.incr();
+                EXECUTOR_WATCHDOG_FIRED.incr();
                 *active = None;
             }
         }
@@ -214,19 +214,19 @@ where
     F: Fn(usize, &WatchdogSlot) -> T + Sync,
 {
     if threads <= 1 || n <= 1 {
-        SEQUENTIAL_RUNS.incr();
+        EXECUTOR_SEQUENTIAL_RUNS.incr();
         let slot = WatchdogSlot::new(wall_deadline);
         return with_watchdog(wall_deadline, std::slice::from_ref(&slot), || {
             (0..n)
                 .map(|i| {
                     let _task = TASK_SPAN.start();
-                    CLAIMS.incr();
+                    EXECUTOR_CLAIMS.incr();
                     f(i, &slot)
                 })
                 .collect()
         });
     }
-    PARALLEL_RUNS.incr();
+    EXECUTOR_PARALLEL_RUNS.incr();
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = threads.min(n);
@@ -252,7 +252,7 @@ where
                         if i >= n {
                             break;
                         }
-                        CLAIMS.incr();
+                        EXECUTOR_CLAIMS.incr();
                         QUEUE_DEPTH.set((n - i.min(n)) as u64);
                         let _task = TASK_SPAN.start();
                         let result = f(i, dog_slot);

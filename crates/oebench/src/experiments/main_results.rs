@@ -13,7 +13,7 @@ use crate::stats::OeStats;
 use oeb_synth::DatasetEntry;
 use parking_lot::Mutex;
 use serde_json::json;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One `(dataset, algorithm)` cell of a result matrix.
@@ -39,7 +39,7 @@ pub fn run_matrix(
     entries: &[DatasetEntry],
     algorithms: &[Algorithm],
 ) -> Arc<Vec<MatrixCell>> {
-    static CACHE: Mutex<Option<HashMap<String, Arc<Vec<MatrixCell>>>>> = Mutex::new(None);
+    static CACHE: Mutex<BTreeMap<String, Arc<Vec<MatrixCell>>>> = Mutex::new(BTreeMap::new());
     let key = format!(
         "{:.4}|{:?}|{}|{}",
         ctx.scale,
@@ -51,7 +51,7 @@ pub fn run_matrix(
             .join(","),
         algorithms.len(),
     );
-    if let Some(cached) = CACHE.lock().get_or_insert_with(HashMap::new).get(&key) {
+    if let Some(cached) = CACHE.lock().get(&key) {
         return cached.clone();
     }
 
@@ -94,10 +94,7 @@ pub fn run_matrix(
         }
     });
     let arc = Arc::new(cells);
-    CACHE
-        .lock()
-        .get_or_insert_with(HashMap::new)
-        .insert(key, arc.clone());
+    CACHE.lock().insert(key, arc.clone());
     arc
 }
 
@@ -221,7 +218,7 @@ pub fn table9(ctx: &ExpContext) -> ExperimentOutput {
     // Every algorithm within 2% of the dataset's best loss counts as a
     // co-winner — declaring a single winner over a 0.296-vs-0.300 gap
     // would overstate how decisive the differences are.
-    let mut wins: HashMap<&'static str, usize> = HashMap::new();
+    let mut wins: BTreeMap<&'static str, usize> = BTreeMap::new();
     for entry in &entries {
         let scored: Vec<(Algorithm, f64)> = algorithms
             .iter()
@@ -246,8 +243,7 @@ pub fn table9(ctx: &ExpContext) -> ExperimentOutput {
         }
     }
     let mut win_rows: Vec<(&str, usize)> = wins.iter().map(|(k, v)| (*k, *v)).collect();
-    // Total sort key: `Reverse(count)` alone would leave co-winners with
-    // equal counts in HashMap iteration order, which varies run to run.
+    // Most wins first; co-winners with equal counts stay in name order.
     win_rows.sort_by_key(|&(name, n)| (std::cmp::Reverse(n), name));
     let mut wins_text =
         String::from("\nCo-winner counts (within 2% of each dataset's best; no silver bullet):\n");

@@ -58,6 +58,10 @@ impl DriftResetLearner {
     fn error_signal(&self, x: &[f64], y: f64) -> f64 {
         let pred = self.inner.predict(x);
         match self.task {
+            #[expect(
+                clippy::float_cmp,
+                reason = "class labels are small integers held exactly in f64"
+            )]
             Task::Classification { .. } => f64::from(pred != y),
             Task::Regression => {
                 let e = (pred - y).powi(2);

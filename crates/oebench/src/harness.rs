@@ -33,15 +33,9 @@ use oeb_faults::{FaultPlan, FrameSource};
 use oeb_linalg::Matrix;
 use oeb_preprocess::{Imputer, KnnImputer, MeanImputer, RegressionImputer, ZeroImputer};
 use oeb_tabular::{StreamDataset, Task};
-use oeb_trace::{CellCtx, Counter, SpanDef};
+use oeb_trace::counters::{HARNESS_RUNS, PROFILE_CELLS_ATTRIBUTED};
+use oeb_trace::{CellCtx, SpanDef};
 use std::sync::Arc;
-
-/// Completed harness runs (one learner over one prepared stream).
-static HARNESS_RUNS: Counter = Counter::new("harness.runs");
-
-/// Cell executions that ran under an installed [`CellCtx`] — i.e. whose
-/// spans are attributable to a (dataset, learner, seed) in the trace.
-static CELLS_ATTRIBUTED: Counter = Counter::new("profile.cells.attributed");
 
 /// One end-to-end cell execution (prepare + evaluate), recorded with the
 /// cell's context attached; `oeb-profile` keys per-cell wall time on
@@ -307,7 +301,7 @@ pub fn try_run_stream_supervised(
         rows: dataset.n_rows() as u64,
     }
     .install();
-    CELLS_ATTRIBUTED.incr();
+    PROFILE_CELLS_ATTRIBUTED.incr();
     let cell_span = CELL_RUN_SPAN.start();
     let prepared = prepare_cached(dataset, config)?;
     let result = evaluate_supervised(&prepared, algorithm, config, budget);

@@ -74,6 +74,19 @@ pub trait StreamLearner {
     fn memory_bytes(&self) -> usize;
 }
 
+/// Loss of one prediction: 0/1 misclassification, or squared error.
+/// Window losses average it.
+#[expect(
+    clippy::float_cmp,
+    reason = "class labels are small integers held exactly in f64"
+)]
+pub(crate) fn item_loss(task: Task, pred: f64, y: f64) -> f64 {
+    match task {
+        Task::Classification { .. } => f64::from(pred != y),
+        Task::Regression => (pred - y).powi(2),
+    }
+}
+
 fn objective(task: Task) -> Objective {
     match task {
         Task::Classification { .. } => Objective::CrossEntropy,

@@ -8,6 +8,10 @@
 //! dataset selection of §4.4 ([`select`]), the Figure 9 recommendation
 //! tree ([`mod@recommend`]), and report formatting ([`report`]).
 
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
 // Index loops over parallel numeric buffers are clearer than iterator
 // chains in these kernels.
 #![allow(clippy::needless_range_loop)]

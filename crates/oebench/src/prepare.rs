@@ -23,36 +23,31 @@
 
 use crate::error::HarnessError;
 use crate::harness::{HarnessConfig, OutlierRemoval, RunResult};
-use crate::learners::{Algorithm, StreamLearner};
+use crate::learners::{item_loss, Algorithm, StreamLearner};
 use crate::supervise::CellBudget;
 use oeb_faults::{DatasetFrames, FaultInjector, FrameSource, WindowFrame};
 use oeb_linalg::Matrix;
 use oeb_outlier::{flag_by_sigma, Ecod, IForestConfig, IsolationForest};
 use oeb_preprocess::{Imputer, MeanImputer, StandardScaler, TargetScaler, ZeroImputer};
 use oeb_tabular::{StreamDataset, Task};
-use oeb_trace::{enabled, Counter, Histogram, SpanDef, Stopwatch};
+use oeb_trace::counters::{
+    LEARNER_ITEMS_TESTED, LEARNER_WINDOW_UPDATES, PREPARE_CACHE_EVICT, PREPARE_CACHE_HIT,
+    PREPARE_CACHE_MISS, PREPARE_ROWS, PREPARE_WINDOWS,
+};
+use oeb_trace::{enabled, Histogram, SpanDef, Stopwatch};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-// Prepare/evaluate instruments. The cache counters are schedule-invariant:
-// slot creation is serialised under the global cache lock, so exactly one
-// caller per key records the miss regardless of thread count.
-static CACHE_HIT: Counter = Counter::new("prepare.cache.hit");
-static CACHE_MISS: Counter = Counter::new("prepare.cache.miss");
-static CACHE_EVICT: Counter = Counter::new("prepare.cache.evict");
-static WINDOWS_PREPARED: Counter = Counter::new("prepare.windows");
-static ROWS_PREPARED: Counter = Counter::new("prepare.rows");
+// Prepare/evaluate instruments.
 static IMPUTE_SPAN: SpanDef = SpanDef::new("prepare.impute");
 static SCALE_SPAN: SpanDef = SpanDef::new("prepare.scale");
 static DETECT_SPAN: SpanDef = SpanDef::new("prepare.detect");
 static TEST_SPAN: SpanDef = SpanDef::new("evaluate.test");
 static TRAIN_SPAN: SpanDef = SpanDef::new("evaluate.train");
-static WINDOW_UPDATES: Counter = Counter::new("learner.window_updates");
-static ITEMS_TESTED: Counter = Counter::new("learner.items_tested");
 /// Per-window test-then-train latency in microseconds (log buckets) — the
 /// window-level counterpart of `prequential.item.latency_us`, with
 /// deterministic p50/p95/p99 derived from the bucket bounds. Sampled only
@@ -343,8 +338,8 @@ pub fn prepare_from_source<S: FrameSource>(
 
         // A window emptied by removal is still emitted: it advances the
         // warm-up accounting without training, like the old loop.
-        WINDOWS_PREPARED.incr();
-        ROWS_PREPARED.add(feats.rows() as u64);
+        PREPARE_WINDOWS.incr();
+        PREPARE_ROWS.add(feats.rows() as u64);
         windows.push(PreparedWindow {
             index,
             features: Arc::new(feats),
@@ -432,10 +427,7 @@ pub fn evaluate_supervised(
             let mut loss = 0.0;
             for r in 0..feats.rows() {
                 let pred = model.predict(feats.row(r));
-                loss += match prepared.task {
-                    Task::Classification { .. } => f64::from(pred != targets[r]),
-                    Task::Regression => (pred - targets[r]).powi(2),
-                };
+                loss += item_loss(prepared.task, pred, targets[r]);
             }
             test_seconds += watch.stop(&TEST_SPAN);
             let window_loss = loss / feats.rows() as f64;
@@ -457,7 +449,7 @@ pub fn evaluate_supervised(
             } else {
                 per_window_loss.push(window_loss);
                 items += feats.rows();
-                ITEMS_TESTED.add(feats.rows() as u64);
+                LEARNER_ITEMS_TESTED.add(feats.rows() as u64);
             }
         }
 
@@ -468,7 +460,7 @@ pub fn evaluate_supervised(
         if let Some(watch) = window_watch {
             WINDOW_LATENCY.record(watch.elapsed_micros());
         }
-        WINDOW_UPDATES.incr();
+        LEARNER_WINDOW_UPDATES.incr();
         items += feats.rows();
         memory_peak = memory_peak.max(model.memory_bytes());
         seen += 1;
@@ -506,7 +498,7 @@ type CachedPrepare = Result<Arc<PreparedStream>, HarnessError>;
 type CacheSlot = Arc<Mutex<Option<CachedPrepare>>>;
 
 struct PrepareCache {
-    map: HashMap<String, CacheSlot>,
+    map: BTreeMap<String, CacheSlot>,
     order: VecDeque<String>,
     capacity: usize,
 }
@@ -564,24 +556,24 @@ pub fn prepare_cached(
     let slot: CacheSlot = {
         let mut guard = CACHE.lock();
         let cache = guard.get_or_insert_with(|| PrepareCache {
-            map: HashMap::new(),
+            map: BTreeMap::new(),
             order: VecDeque::new(),
             capacity: cap,
         });
         match cache.map.get(&key) {
             Some(slot) => {
-                CACHE_HIT.incr();
+                PREPARE_CACHE_HIT.incr();
                 slot.clone()
             }
             None => {
-                CACHE_MISS.incr();
+                PREPARE_CACHE_MISS.incr();
                 let slot: CacheSlot = Arc::new(Mutex::new(None));
                 cache.map.insert(key.clone(), slot.clone());
                 cache.order.push_back(key);
                 while cache.order.len() > cache.capacity {
                     if let Some(evicted) = cache.order.pop_front() {
                         cache.map.remove(&evicted);
-                        CACHE_EVICT.incr();
+                        PREPARE_CACHE_EVICT.incr();
                     }
                 }
                 slot

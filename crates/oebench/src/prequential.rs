@@ -9,12 +9,9 @@ use crate::error::HarnessError;
 use crate::supervise::CellBudget;
 use oeb_linalg::Matrix;
 use oeb_tabular::{StreamDataset, Task};
-use oeb_trace::{enabled, Counter, Histogram, Stopwatch};
+use oeb_trace::counters::LEARNER_ITEM_UPDATES;
+use oeb_trace::{enabled, Histogram, Stopwatch};
 use oeb_tree::{AdaptiveRandomForest, HoeffdingTree};
-
-/// One `learn_one` call per item — the item-level analogue of the
-/// window-level `learner.window_updates` counter.
-static ITEM_UPDATES: Counter = Counter::new("learner.item_updates");
 
 /// Per-item test-then-train latency in microseconds (log buckets), the
 /// groundwork for a serving-style p99 contract: deterministic p50/p95/p99
@@ -130,7 +127,7 @@ pub fn try_prequential_items_budgeted<M: IncrementalClassifier>(
         }
     }
     let items = xs.rows();
-    ITEM_UPDATES.add(items as u64);
+    LEARNER_ITEM_UPDATES.add(items as u64);
     Ok(PrequentialResult {
         items,
         accuracy: if items > 0 {

@@ -9,7 +9,7 @@
 //! quality" (§4.5). Prediction is a majority vote (classification) or the
 //! member median (regression).
 
-use crate::learners::{LearnerConfig, StreamLearner};
+use crate::learners::{item_loss, LearnerConfig, StreamLearner};
 use oeb_linalg::Matrix;
 use oeb_nn::{train_window, Mlp, Objective, Regularizer, SgdConfig};
 use oeb_tabular::Task;
@@ -156,10 +156,7 @@ impl SeaLearner {
         let mut loss = 0.0;
         for r in 0..xs.rows() {
             let pred = model.predict(self.task, xs.row(r));
-            loss += match self.task {
-                Task::Classification { .. } => f64::from(pred != ys[r]),
-                Task::Regression => (pred - ys[r]).powi(2),
-            };
+            loss += item_loss(self.task, pred, ys[r]);
         }
         loss / n as f64
     }

@@ -19,17 +19,8 @@ use oeb_linalg::{EcdfMultiset, EcdfUniverse, Matrix};
 use oeb_outlier::{anomaly_ratio, Ecod, IForestConfig, IsolationForest};
 use oeb_preprocess::{Imputer, KnnImputer, OneHotEncoder, StandardScaler};
 use oeb_tabular::{DeltaStat, MissingDelta, StreamDataset, Table, Task};
-use oeb_trace::Counter;
+use oeb_trace::counters::{STATS_DELTA_ABSORBED, STATS_DELTA_RETRACTED, STATS_FULL_FALLBACK};
 use std::sync::Arc;
-
-/// Rows/values entered into maintained sufficient statistics.
-static DELTA_ABSORBED: Counter = Counter::new("stats.delta.absorbed");
-/// Rows/values exactly retracted from maintained sufficient statistics.
-static DELTA_RETRACTED: Counter = Counter::new("stats.delta.retracted");
-/// Batch (non-decomposable) detector invocations taken while in
-/// incremental mode — kdq-tree, PCA-CD, IForest, and the concept-drift
-/// probes have no sufficient-statistic form and fall back per window.
-static FULL_FALLBACK: Counter = Counter::new("stats.full.fallback");
 
 /// How the §4.3 statistics are computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -346,8 +337,8 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
     // The probe/error loops are inherently sequential in row order; no
     // sufficient-statistic form exists, so both modes run the batch path.
     if cfg.mode == StatsMode::Incremental {
-        FULL_FALLBACK.incr();
-        FULL_FALLBACK.incr();
+        STATS_FULL_FALLBACK.incr();
+        STATS_FULL_FALLBACK.incr();
     }
     let (ddm_frac, eddm_frac, adwin_frac) = concept_drift_fracs(dataset, &encoded_windows);
     let perm_frac = perm_fraction(dataset, &encoded_windows, &cfg.perm);
@@ -459,11 +450,11 @@ fn incremental_multi_sweep(windows: &[Matrix], universes: &[Arc<EcdfUniverse>]) 
         if hdddm.update(&cur).is_drift() {
             hdddm_hits += 1;
         }
-        FULL_FALLBACK.incr();
+        STATS_FULL_FALLBACK.incr();
         if kdq.update(w).is_drift() {
             kdq_hits += 1;
         }
-        FULL_FALLBACK.incr();
+        STATS_FULL_FALLBACK.incr();
         if pcacd.update(w).is_drift() {
             pcacd_hits += 1;
         }
@@ -472,7 +463,7 @@ fn incremental_multi_sweep(windows: &[Matrix], universes: &[Arc<EcdfUniverse>]) 
             // so the snapshot model equals a fresh batch fit.
             let ecod = Ecod::from_sorted_columns(cur.iter().map(|m| m.to_sorted_vec()).collect());
             ecod_ratios.push(anomaly_ratio(&ecod.score_all(w)));
-            FULL_FALLBACK.incr();
+            STATS_FULL_FALLBACK.incr();
             let forest = IsolationForest::fit(
                 w,
                 &IForestConfig {
@@ -514,8 +505,8 @@ fn slide_columns(cur: &mut [EcdfMultiset], prev: Option<&Matrix>, w: &Matrix) {
             }
         }
     }
-    DELTA_RETRACTED.add(retracted);
-    DELTA_ABSORBED.add(absorbed);
+    STATS_DELTA_RETRACTED.add(retracted);
+    STATS_DELTA_ABSORBED.add(absorbed);
 }
 
 /// Per-column value universes over every window of the stream.
@@ -622,8 +613,8 @@ fn incremental_column_stats(
                     absorbed += 1;
                 }
             }
-            DELTA_RETRACTED.add(retracted);
-            DELTA_ABSORBED.add(absorbed);
+            STATS_DELTA_RETRACTED.add(retracted);
+            STATS_DELTA_ABSORBED.add(absorbed);
             if ks.update(&cur).is_drift() {
                 ks_hits += 1;
             }
@@ -678,7 +669,7 @@ fn incremental_missing_stats(table: &Table) -> oeb_tabular::MissingStats {
     for r in 0..table.n_rows() {
         delta.absorb(&table.numeric_row(r));
     }
-    DELTA_ABSORBED.add(table.n_rows() as u64);
+    STATS_DELTA_ABSORBED.add(table.n_rows() as u64);
     delta.snapshot()
 }
 

@@ -27,20 +27,11 @@
 
 use crate::error::HarnessError;
 use crate::executor::CancelFlag;
-use oeb_trace::Counter;
+use oeb_trace::counters::{
+    SUPERVISE_QUARANTINED, SUPERVISE_RETRIES, SUPERVISE_TIMEOUTS, SUPERVISE_WALL_RETRIES,
+    SUPERVISE_WALL_TIMEOUTS,
+};
 use std::time::Duration;
-
-// Supervision instruments. `supervise.retries`, `supervise.timeouts`
-// (logical) and `supervise.quarantined` are deterministic: on a fixed
-// grid with fixed seeds they count the same events on every run at every
-// thread count. The `supervise.wall.*` family is machine-dependent by
-// construction (a wall clock fired) and is excluded from the
-// schedule-invariance contract in `oeb_trace`.
-static RETRIES: Counter = Counter::new("supervise.retries");
-static TIMEOUTS: Counter = Counter::new("supervise.timeouts");
-static QUARANTINED: Counter = Counter::new("supervise.quarantined");
-static WALL_TIMEOUTS: Counter = Counter::new("supervise.wall.timeouts");
-static WALL_RETRIES: Counter = Counter::new("supervise.wall.retries");
 
 /// Largest backoff exponent: caps the schedule at `base * 2^6` so a deep
 /// retry budget cannot sleep a sweep for minutes.
@@ -254,9 +245,9 @@ pub fn supervise_cell<T>(
             Err(e) => {
                 if let HarnessError::CellTimedOut { wall, .. } = &e {
                     if *wall {
-                        WALL_TIMEOUTS.incr();
+                        SUPERVISE_WALL_TIMEOUTS.incr();
                     } else {
-                        TIMEOUTS.incr();
+                        SUPERVISE_TIMEOUTS.incr();
                     }
                 }
                 if !e.is_retryable() || policy.max_retries == 0 {
@@ -267,7 +258,7 @@ pub fn supervise_cell<T>(
                     };
                 }
                 if k >= policy.max_retries {
-                    QUARANTINED.incr();
+                    SUPERVISE_QUARANTINED.incr();
                     return Supervised {
                         result: Err(HarnessError::Quarantined {
                             attempts: k + 1,
@@ -282,9 +273,9 @@ pub fn supervise_cell<T>(
                 // else (panics, fault-injected divergence, I/O) recurs
                 // deterministically on a fixed grid.
                 if matches!(&e, HarnessError::CellTimedOut { wall: true, .. }) {
-                    WALL_RETRIES.incr();
+                    SUPERVISE_WALL_RETRIES.incr();
                 } else {
-                    RETRIES.incr();
+                    SUPERVISE_RETRIES.incr();
                 }
                 k += 1;
                 let pause = backoff_duration(seed, k, policy.backoff_base);

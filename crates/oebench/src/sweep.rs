@@ -17,23 +17,18 @@ use crate::harness::{try_run_stream_supervised, HarnessConfig, RunResult};
 use crate::learners::Algorithm;
 use crate::supervise::{cell_seed, supervise_cell, SupervisePolicy};
 use oeb_tabular::StreamDataset;
-use oeb_trace::{CellCtx, Counter, SpanDef};
+use oeb_trace::counters::{
+    SWEEP_CELLS_EXECUTED, SWEEP_CELLS_FAILED, SWEEP_CELLS_RESUMED, SWEEP_CELLS_TOTAL,
+};
+use oeb_trace::{CellCtx, SpanDef};
 use serde_json::{json, Value};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-// Sweep cell accounting: grid size, cells resolved from a checkpoint
-// (resume), cells actually executed this invocation, and failures. All
-// schedule-invariant — they depend on the grid and the checkpoint, never
-// on which worker ran what.
-static CELLS_TOTAL: Counter = Counter::new("sweep.cells.total");
-static CELLS_RESUMED: Counter = Counter::new("sweep.cells.resumed");
-static CELLS_EXECUTED: Counter = Counter::new("sweep.cells.executed");
-static CELLS_FAILED: Counter = Counter::new("sweep.cells.failed");
 static CELL_SPAN: SpanDef = SpanDef::new("sweep.cell");
 
 /// Whether [`run_sweep`] emits a stderr progress line per finished cell.
@@ -328,7 +323,7 @@ pub fn run_sweep_supervised(
     policy: &SupervisePolicy,
 ) -> Result<SweepReport, HarnessError> {
     config.validate()?;
-    let mut done: HashMap<(String, String), RunOutcome> = HashMap::new();
+    let mut done: BTreeMap<(String, String), RunOutcome> = BTreeMap::new();
     if let Some(path) = checkpoint {
         for record in load_checkpoint(path)? {
             done.insert(
@@ -360,9 +355,9 @@ pub fn run_sweep_supervised(
     }
 
     let resumed = cells.len() - (outcomes.iter().filter(|o| o.is_none()).count());
-    CELLS_TOTAL.add(cells.len() as u64);
-    CELLS_RESUMED.add(resumed as u64);
-    CELLS_EXECUTED.add(to_run.len() as u64);
+    SWEEP_CELLS_TOTAL.add(cells.len() as u64);
+    SWEEP_CELLS_RESUMED.add(resumed as u64);
+    SWEEP_CELLS_EXECUTED.add(to_run.len() as u64);
     let progress = SweepProgress::new(cells.len(), resumed, PROGRESS.load(Ordering::Relaxed));
 
     if !to_run.is_empty() {
@@ -402,7 +397,7 @@ pub fn run_sweep_supervised(
                         | RunOutcome::TimedOut { .. }
                         | RunOutcome::Quarantined { .. }
                 ) {
-                    CELLS_FAILED.incr();
+                    SWEEP_CELLS_FAILED.incr();
                 }
                 progress.note_done();
                 if let Some(writer) = &writer {

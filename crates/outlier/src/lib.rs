@@ -5,6 +5,13 @@
 //! [`iforest::IsolationForest`] (random-split isolation trees), plus the
 //! paper's 3-sigma window-level flagging rule in [`flag`].
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
+
 pub mod delta;
 pub mod ecod;
 pub mod flag;

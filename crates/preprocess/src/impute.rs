@@ -7,13 +7,7 @@
 
 use oeb_linalg::{ridge_regression, Matrix};
 use oeb_tabular::FiniteMask;
-use oeb_trace::Counter;
-
-// Candidate-abandonment accounting for the pruned KNN path: how many
-// donor candidates were cut short by the partial-distance bound vs
-// scanned to completion. Data-dependent only, so schedule-invariant.
-static KNN_CANDIDATES_PRUNED: Counter = Counter::new("knn.candidates.pruned");
-static KNN_CANDIDATES_SCANNED: Counter = Counter::new("knn.candidates.scanned");
+use oeb_trace::counters::{KNN_CANDIDATES_PRUNED, KNN_CANDIDATES_SCANNED};
 
 /// Fills NaN cells of `data`, using `reference` as the source of knowledge
 /// (for the "oracle vs normal" distinction of Figure 5: oracle passes the

@@ -5,6 +5,13 @@
 //! and the four missing-value imputers compared in §6.6 (KNN, regression,
 //! mean, zero).
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
+
 pub mod delta;
 pub mod encode;
 pub mod impute;

@@ -2,6 +2,8 @@
 //! left, observed cells untouched), one-hot structure, and scaler
 //! invertibility — over arbitrary hole patterns.
 
+#![expect(clippy::float_cmp, reason = "tests assert exact deterministic values")]
+
 use oeb_linalg::Matrix;
 use oeb_preprocess::{
     Imputer, KnnImputer, MeanImputer, OneHotEncoder, RegressionImputer, StandardScaler,

@@ -11,20 +11,14 @@
 use crate::generate::generate;
 use crate::spec::StreamSpec;
 use oeb_tabular::StreamDataset;
-use oeb_trace::Counter;
+use oeb_trace::counters::{SYNTH_CACHE_EVICT, SYNTH_CACHE_HIT, SYNTH_CACHE_MISS};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-// Hit/miss/evict accounting. Lookups happen under the global cache lock,
-// so the counts depend only on the key sequence, not on scheduling.
-static CACHE_HIT: Counter = Counter::new("synth.cache.hit");
-static CACHE_MISS: Counter = Counter::new("synth.cache.miss");
-static CACHE_EVICT: Counter = Counter::new("synth.cache.evict");
-
 struct GenCache {
-    map: HashMap<(String, u64), Arc<StreamDataset>>,
+    map: BTreeMap<(String, u64), Arc<StreamDataset>>,
     order: VecDeque<(String, u64)>,
     capacity: usize,
 }
@@ -52,15 +46,15 @@ pub fn generate_cached(spec: &StreamSpec, seed: u64) -> Arc<StreamDataset> {
     let key = (format!("{spec:?}"), seed);
     let mut guard = CACHE.lock();
     let cache = guard.get_or_insert_with(|| GenCache {
-        map: HashMap::new(),
+        map: BTreeMap::new(),
         order: VecDeque::new(),
         capacity: capacity(),
     });
     if let Some(hit) = cache.map.get(&key) {
-        CACHE_HIT.incr();
+        SYNTH_CACHE_HIT.incr();
         return hit.clone();
     }
-    CACHE_MISS.incr();
+    SYNTH_CACHE_MISS.incr();
     // Generate while holding the lock: concurrent requests for the same
     // pair would otherwise duplicate the (deterministic) work, and
     // generation is cheap relative to the downstream evaluation.
@@ -71,7 +65,7 @@ pub fn generate_cached(spec: &StreamSpec, seed: u64) -> Arc<StreamDataset> {
         while cache.order.len() > cache.capacity {
             if let Some(evicted) = cache.order.pop_front() {
                 cache.map.remove(&evicted);
-                CACHE_EVICT.incr();
+                SYNTH_CACHE_EVICT.incr();
             }
         }
     }

@@ -19,14 +19,13 @@ use crate::spec::{
     AnomalyEvent, Balance, DriftPattern, FeatureAvailability, LabelMechanism, StreamSpec, TaskSpec,
 };
 use oeb_tabular::{Column, Field, Schema, StreamDataset, Table};
-use oeb_trace::{Counter, SpanDef};
+use oeb_trace::counters::{SYNTH_GENERATED_DATASETS, SYNTH_GENERATED_ROWS};
+use oeb_trace::SpanDef;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Generator throughput accounting (datasets materialised, rows emitted).
-static DATASETS_GENERATED: Counter = Counter::new("synth.generated.datasets");
-static ROWS_GENERATED: Counter = Counter::new("synth.generated.rows");
 static GENERATE_SPAN: SpanDef = SpanDef::new("synth.generate");
 
 /// Generates the dataset described by `spec`, mixing `seed` into the
@@ -34,8 +33,8 @@ static GENERATE_SPAN: SpanDef = SpanDef::new("synth.generate");
 /// run three times) produce distinct but reproducible streams.
 pub fn generate(spec: &StreamSpec, seed: u64) -> StreamDataset {
     let _span = GENERATE_SPAN.start();
-    DATASETS_GENERATED.incr();
-    ROWS_GENERATED.add(spec.n_rows as u64);
+    SYNTH_GENERATED_DATASETS.incr();
+    SYNTH_GENERATED_ROWS.add(spec.n_rows as u64);
     let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0x9E3779B97F4A7C15) ^ seed);
     let n = spec.n_rows;
     let d = spec.n_numeric;

@@ -11,6 +11,9 @@
 //! Table 9, drift patterns from the Table 13 audit); [`generate()`](fn@generate) turns a
 //! [`StreamSpec`] into a concrete [`oeb_tabular::StreamDataset`].
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cache;
 pub mod generate;
 pub mod registry;

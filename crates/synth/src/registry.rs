@@ -841,8 +841,13 @@ pub fn selected(short: &str) -> Option<DatasetEntry> {
 pub fn selected_five() -> Vec<DatasetEntry> {
     ["ROOM", "ELECTRICITY", "INSECTS", "AIR", "POWER"]
         .iter()
-        // oeb-lint: allow(panic-in-library) -- the registry is a compile-time constant holding all five names
-        .map(|s| selected(s).expect("registry contains all five selected datasets"))
+        .map(
+            #[expect(
+                clippy::expect_used,
+                reason = "the registry is a compile-time constant holding all five names"
+            )]
+            |s| selected(s).expect("registry contains all five selected datasets"),
+        )
         .collect()
 }
 

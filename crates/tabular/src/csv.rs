@@ -8,7 +8,7 @@
 use crate::column::Column;
 use crate::schema::{Field, FieldKind, Schema};
 use crate::table::Table;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Errors produced by CSV parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,18 +142,23 @@ pub fn read_table(text: &str) -> Result<Table, CsvError> {
             fields.push(Field::numeric(header[c].clone()));
             columns.push(Column::Numeric(
                 rows.iter()
-                    .map(|r| {
-                        if r[c].is_empty() {
-                            f64::NAN
-                        } else {
-                            // oeb-lint: allow(panic-in-library) -- every cell pre-scanned as parseable above
-                            r[c].trim().parse().expect("checked numeric")
-                        }
-                    })
+                    .map(
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "every cell pre-scanned as parseable above"
+                        )]
+                        |r| {
+                            if r[c].is_empty() {
+                                f64::NAN
+                            } else {
+                                r[c].trim().parse().expect("checked numeric")
+                            }
+                        },
+                    )
                     .collect(),
             ));
         } else {
-            let mut dict: HashMap<&str, u32> = HashMap::new();
+            let mut dict: BTreeMap<&str, u32> = BTreeMap::new();
             let mut labels: Vec<String> = Vec::new();
             let mut cells = Vec::with_capacity(rows.len());
             for r in rows {

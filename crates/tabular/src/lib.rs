@@ -9,6 +9,13 @@
 //! default window size and application [`Domain`] — exactly the metadata
 //! the paper documents per dataset in its Tables 11 and 12.
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
+
 pub mod column;
 pub mod csv;
 pub mod dataset;

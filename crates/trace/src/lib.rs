@@ -5,8 +5,8 @@
 //! sequential one. Instrumentation must not be allowed to erode that, so
 //! this crate draws a hard line:
 //!
-//! - **Wall-clock readings live here and nowhere else.** The `raw-instant`
-//!   lint rule forbids `Instant::now`/`SystemTime::now` outside this crate;
+//! - **Wall-clock readings live here and nowhere else.** The workspace
+//!   `clippy.toml` bans `Instant::now`/`SystemTime::now` outside this crate;
 //!   code that needs a duration (even one that is itself a reported paper
 //!   metric, like training time) goes through [`Stopwatch`].
 //! - **Zero cost when disabled.** Every recording entry point checks one
@@ -22,20 +22,28 @@
 //!
 //! Metric handles are `static` items with interior atomics; they register
 //! themselves into a global registry on first touch, so defining one is
-//! free and dead instruments never appear in a snapshot.
+//! free and dead instruments never appear in a snapshot. Counters are
+//! all declared in one list, [`counters`]; gauges, histograms and spans
+//! are declared where they are recorded.
 //!
 //! ```
-//! static CACHE_HITS: oeb_trace::Counter = oeb_trace::Counter::new("demo.cache.hit");
+//! use oeb_trace::counters::PREPARE_CACHE_HIT;
 //! static IMPUTE: oeb_trace::SpanDef = oeb_trace::SpanDef::new("demo.impute");
 //!
 //! oeb_trace::enable();
 //! {
 //!     let _span = IMPUTE.start(); // RAII: records duration on drop
-//!     CACHE_HITS.incr();
+//!     PREPARE_CACHE_HIT.incr();
 //! }
 //! let snap = oeb_trace::snapshot();
-//! assert_eq!(snap.counters["demo.cache.hit"], 1);
+//! assert_eq!(snap.counters["prepare.cache.hit"], 1);
 //! ```
+
+// The one crate allowed to read the clock (clippy.toml bans it elsewhere).
+#![expect(
+    clippy::disallowed_methods,
+    reason = "oeb-trace owns the workspace's clock reads: Stopwatch, spans and the trace epoch"
+)]
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -44,6 +52,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+
+pub mod counters;
 
 /// Version of the JSON-lines trace schema written by [`write_trace_file`].
 /// v2 added per-event cell context fields, exact `start_ns`/`dur_ns`, and
@@ -179,7 +189,8 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub const fn new(name: &'static str) -> Self {
+    /// Crate-private: every counter is declared in [`counters`].
+    pub(crate) const fn new(name: &'static str) -> Self {
         Counter {
             name,
             value: AtomicU64::new(0),
@@ -764,7 +775,7 @@ pub fn snapshot() -> MetricsSnapshot {
     // Always surfaced (even at zero) so a truncated trace is visible in
     // the metrics table, not only in the trace footer.
     snap.counters
-        .insert("trace.events.dropped".to_string(), dropped_events());
+        .insert(counters::DROPPED_EVENTS.to_string(), dropped_events());
     snap
 }
 

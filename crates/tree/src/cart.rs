@@ -491,6 +491,10 @@ fn build(
         if n_obs < 2 {
             continue;
         }
+        #[expect(
+            clippy::float_cmp,
+            reason = "equal ends of the sorted values mean a constant feature, which has no split"
+        )]
         // oeb-lint: allow(panic-in-library) -- guarded by the len >= 2 check above
         if scratch.sorted[0].0 == scratch.sorted[n_obs - 1].0 {
             continue;
@@ -648,6 +652,10 @@ fn build_reference(
             continue;
         }
         sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        #[expect(
+            clippy::float_cmp,
+            reason = "equal ends of the sorted values mean a constant feature, which has no split"
+        )]
         // oeb-lint: allow(panic-in-library) -- guarded by the len >= 2 check above
         if sorted[0].0 == sorted[sorted.len() - 1].0 {
             continue;

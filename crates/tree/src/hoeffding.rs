@@ -5,10 +5,7 @@
 
 use oeb_linalg::Matrix;
 use oeb_tabular::DeltaStat;
-use oeb_trace::Counter;
-
-/// Grace-period split evaluations performed across all trees.
-static SPLIT_CHECKS: Counter = Counter::new("train.hoeffding.split_checks");
+use oeb_trace::counters::TRAIN_HOEFFDING_SPLIT_CHECKS;
 
 /// Online Gaussian estimator (Welford).
 #[derive(Debug, Clone, Default)]
@@ -123,7 +120,6 @@ impl LeafTotals {
     }
 
     fn absorb_class(&mut self, y: usize) {
-        // oeb-lint: allow(float-eq) -- counts are exact integers
         if self.counts[y] == 0.0 {
             self.present += 1;
         }
@@ -134,6 +130,7 @@ impl LeafTotals {
         // exactly the order a left-to-right rescan would prefer.
         if y != self.majority {
             let (cy, cm) = (self.counts[y], self.counts[self.majority]);
+            #[expect(clippy::float_cmp, reason = "counts are exact integers")]
             if cy > cm || (cy == cm && y < self.majority) {
                 self.majority = y;
             }
@@ -143,7 +140,6 @@ impl LeafTotals {
     fn retract_class(&mut self, y: usize) {
         self.counts[y] -= 1.0;
         self.total -= 1.0;
-        // oeb-lint: allow(float-eq) -- counts are exact integers
         if self.counts[y] == 0.0 {
             self.present -= 1;
         }
@@ -572,7 +568,7 @@ impl HoeffdingTree {
                     stats.learn(x, y);
                     if stats.n_since_check >= config.grace_period && depth < config.max_depth {
                         stats.n_since_check = 0;
-                        SPLIT_CHECKS.incr();
+                        TRAIN_HOEFFDING_SPLIT_CHECKS.incr();
                         let (best_gain, feature, threshold, second_gain) =
                             stats.best_splits(allowed, scratch);
                         let n = stats.totals.total();
@@ -622,7 +618,7 @@ impl HoeffdingTree {
             Node::Leaf(stats) => Some(if reference {
                 stats.best_splits_reference(allowed)
             } else {
-                SPLIT_CHECKS.incr();
+                TRAIN_HOEFFDING_SPLIT_CHECKS.incr();
                 stats.best_splits(allowed, scratch)
             }),
             Node::Split { .. } => None,

@@ -8,6 +8,12 @@
 //! [`arf::AdaptiveRandomForest`] (Poisson-bagged Hoeffding trees with
 //! per-tree ADWIN drift monitoring and background-tree replacement).
 
+// A kernel panic costs a whole sweep cell (DESIGN.md, "Static invariants").
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
 // Index loops over parallel numeric buffers are clearer than iterator
 // chains in these kernels.
 #![allow(clippy::needless_range_loop)]

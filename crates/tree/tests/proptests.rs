@@ -2,6 +2,8 @@
 //! determinism, training-set consistency on clean data, and robustness
 //! to arbitrary (including missing) inputs.
 
+#![expect(clippy::float_cmp, reason = "tests assert exact deterministic values")]
+
 use oeb_linalg::Matrix;
 use oeb_tree::{
     AdaptiveRandomForest, ArfConfig, DecisionTree, Gbdt, GbdtConfig, HoeffdingConfig,

@@ -35,6 +35,11 @@
 //! assert!(result.mean_loss.is_finite());
 //! ```
 
+#![cfg_attr(
+    test,
+    expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
+)]
+
 pub mod cli;
 
 pub use oeb_core as core;

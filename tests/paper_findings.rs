@@ -64,27 +64,40 @@ fn efficiency_ordering_matches_the_paper() {
         .unwrap();
     let dataset = oebench::synth::generate(&entry.spec, 0);
     let cfg = HarnessConfig::default();
+    let run = |algorithm| run_stream(&dataset, algorithm, &cfg).unwrap();
 
-    let dt = run_stream(&dataset, Algorithm::NaiveDt, &cfg).unwrap();
-    let nn = run_stream(&dataset, Algorithm::NaiveNn, &cfg).unwrap();
-    let sea_nn = run_stream(&dataset, Algorithm::SeaNn, &cfg).unwrap();
-    let ewc = run_stream(&dataset, Algorithm::Ewc, &cfg).unwrap();
-
+    // Wall-clock claims compare per-learner minima over five interleaved
+    // runs: interference from tests sharing the cores only adds time, so
+    // the minimum is the noise-robust estimate.
+    let learners = [Algorithm::NaiveNn, Algorithm::Ewc, Algorithm::NaiveDt];
+    let mut train_seconds = [f64::INFINITY; 3];
+    let mut seconds_per_item = [f64::INFINITY; 3];
+    let mut memory_bytes = [0; 3];
+    for _ in 0..5 {
+        for (i, &algorithm) in learners.iter().enumerate() {
+            let r = run(algorithm);
+            train_seconds[i] = train_seconds[i].min(r.train_seconds);
+            seconds_per_item[i] = seconds_per_item[i].min(1.0 / r.throughput);
+            memory_bytes[i] = r.memory_bytes;
+        }
+    }
+    let [nn_train, ewc_train, _] = train_seconds;
+    let [nn_item, _, dt_item] = seconds_per_item;
     // Throughput: trees refit per window beat 10-epoch SGD.
     assert!(
-        dt.throughput > nn.throughput,
-        "DT {} <= NN {}",
-        dt.throughput,
-        nn.throughput
+        dt_item < nn_item,
+        "DT {dt_item} s/item >= NN {nn_item} s/item"
     );
-    // Memory: DT < NN < EWC (3x) and NN < SEA-NN (~5x).
-    assert!(dt.memory_bytes < nn.memory_bytes);
-    assert!(nn.memory_bytes < ewc.memory_bytes);
-    assert!(nn.memory_bytes * 3 < sea_nn.memory_bytes);
     // EWC costs roughly double the naive NN time (extra Fisher pass and
     // penalty work) — the paper notes EWC/LwF "doubling the computational
     // cost".
-    assert!(ewc.train_seconds > nn.train_seconds);
+    assert!(ewc_train > nn_train, "EWC {ewc_train} s <= NN {nn_train} s");
+
+    // Memory (deterministic): DT < NN < EWC (3x) and NN < SEA-NN (~5x).
+    let [nn_memory, ewc_memory, dt_memory] = memory_bytes;
+    assert!(dt_memory < nn_memory);
+    assert!(nn_memory < ewc_memory);
+    assert!(nn_memory * 3 < run(Algorithm::SeaNn).memory_bytes);
 }
 
 /// §6.4.1 / Finding (2): more local epochs generally reduce loss.

@@ -2,6 +2,8 @@
 //! generation → statistics extraction → representative selection →
 //! prequential evaluation — exercised end to end at small scale.
 
+#![expect(clippy::float_cmp, reason = "tests assert exact deterministic values")]
+
 use oebench::prelude::*;
 
 const SCALE: f64 = 0.02;
