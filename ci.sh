@@ -57,6 +57,17 @@ cargo run --release -p oeb-lint -- check --json --time-budget-ms 1000 \
 cargo run --release -p oeb-bench --bin repro -- table4 \
     --scale 0.05 --seeds 1 --threads 4 --out "$smoke_dir"
 
+# Smoke: the fanned-out experiment drivers (curve grid, §4.3 stats
+# pipeline, Table 13) must write the same text at one and two workers.
+for t in 1 2; do
+    cargo run --release -p oeb-bench --bin repro -- fig16 table3 table13 \
+        --scale 0.02 --seeds 1 --threads "$t" --out "$smoke_dir/drivers_t$t" > /dev/null
+done
+for f in fig16 table3 table13; do
+    diff "$smoke_dir/drivers_t1/$f.txt" "$smoke_dir/drivers_t2/$f.txt" \
+        || { echo "ci: $f.txt differs between --threads 1 and 2" >&2; exit 1; }
+done
+
 # Smoke: observability. The same run traced: every JSONL record must
 # match the span schema (required keys, monotone ids — trace_check),
 # the metrics table must show prepare-cache hits, and the result

@@ -22,5 +22,5 @@ pub mod mlp;
 pub mod trainer;
 
 pub use exemplar::ExemplarBuffer;
-pub use mlp::{argmax, softmax, softmax_into, Mlp, Objective, TrainOpts};
+pub use mlp::{argmax, softmax, softmax_into, Mlp, Objective, TrainOpts, TrainScratch};
 pub use trainer::{train_window, train_window_reference, Regularizer, SgdConfig};

@@ -62,10 +62,14 @@ impl Layer {
 /// Reusable batch buffers for [`Mlp::train_batch`]: gathered inputs,
 /// per-layer activation matrices, delta ping-pong matrices, and the
 /// softmax scratch that replaces the LwF branch's per-sample `collect()`
-/// allocations. Contents are transient; cloning a model resets nothing
-/// observable.
-#[derive(Debug, Clone, Default)]
-struct TrainScratch {
+/// allocations. Contents are transient, so any scratch serves any model.
+///
+/// A scratch lives for one window: [`crate::train_window`] owns one and
+/// lends it to every mini-batch step, then frees it. A model therefore
+/// holds only its parameters between windows, which is what lets a
+/// 40-member SEA-NN ensemble stay small.
+#[derive(Debug, Default)]
+pub struct TrainScratch {
     /// Post-activation matrices, one per layer boundary (`acts[0]` is the
     /// gathered input batch).
     acts: Vec<Matrix>,
@@ -103,8 +107,6 @@ pub struct Mlp {
     layers: Vec<Layer>,
     /// Output objective.
     pub objective: Objective,
-    /// Reused batch buffers for the GEMM training path.
-    scratch: TrainScratch,
 }
 
 impl Mlp {
@@ -127,11 +129,7 @@ impl Mlp {
             // oeb-lint: allow(panic-in-library) -- windows(2) yields exactly two elements
             .map(|p| Layer::new(p[0], p[1], &mut rng))
             .collect();
-        Mlp {
-            layers,
-            objective,
-            scratch: TrainScratch::default(),
-        }
+        Mlp { layers, objective }
     }
 
     /// Number of scalar parameters.
@@ -241,7 +239,8 @@ impl Mlp {
     /// One SGD step on a mini-batch; returns the mean batch loss
     /// (before the step, excluding penalty terms).
     ///
-    /// `rows` selects the batch rows of `xs`/`ys`.
+    /// `rows` selects the batch rows of `xs`/`ys`; `s` holds the batch
+    /// buffers, reused across the steps of one window.
     ///
     /// The whole batch runs through the GEMM kernels in
     /// `oeb_linalg::kernels`: forward as `X·Wᵀ + bias`
@@ -259,6 +258,7 @@ impl Mlp {
         rows: &[usize],
         lr: f64,
         opts: &TrainOpts<'_>,
+        s: &mut TrainScratch,
     ) -> f64 {
         if rows.is_empty() {
             return 0.0;
@@ -266,21 +266,15 @@ impl Mlp {
         TRAIN_MLP_GEMM_BATCHES.incr();
         let n_layers = self.layers.len();
         let batch = rows.len();
-        // The scratch moves out of `self` for the duration of the step so
-        // the borrows below stay disjoint from the layer borrows.
-        let mut s = std::mem::take(&mut self.scratch);
         s.acts.resize_with(n_layers + 1, Matrix::default);
-        if s.grads.len() != n_layers {
-            s.grads = self
-                .layers
-                .iter()
-                .map(|l| (vec![0.0; l.w.as_slice().len()], vec![0.0; l.b.len()]))
-                .collect();
-        } else {
-            for (gw, gb) in &mut s.grads {
-                gw.fill(0.0);
-                gb.fill(0.0);
-            }
+        // Sized per layer: a scratch last used by a model of the same
+        // depth but other widths must not keep its buffer lengths.
+        s.grads.resize_with(n_layers, Default::default);
+        for ((gw, gb), l) in s.grads.iter_mut().zip(&self.layers) {
+            gw.clear();
+            gw.resize(l.w.as_slice().len(), 0.0);
+            gb.clear();
+            gb.resize(l.b.len(), 0.0);
         }
 
         // Gather the batch rows once; the GEMMs then stream them densely.
@@ -399,9 +393,7 @@ impl Mlp {
             }
         }
 
-        let loss = self.apply_gradients(&mut s.grads, batch, lr, opts, total_loss);
-        self.scratch = s;
-        loss
+        self.apply_gradients(&mut s.grads, batch, lr, opts, total_loss)
     }
 
     /// Batched forward through the stack: `input` is a gathered batch,
@@ -735,11 +727,12 @@ mod tests {
 
     #[test]
     fn learns_xor_classification() {
+        let mut s = TrainScratch::default();
         let (xs, ys) = xor_data();
         let mut mlp = Mlp::new(2, &[16, 8], 2, Objective::CrossEntropy, 1);
         let rows: Vec<usize> = (0..xs.rows()).collect();
         for _ in 0..300 {
-            mlp.train_batch(&xs, &ys, &rows, 0.1, &TrainOpts::default());
+            mlp.train_batch(&xs, &ys, &rows, 0.1, &TrainOpts::default(), &mut s);
         }
         let correct = (0..xs.rows())
             .filter(|&r| mlp.predict_class(xs.row(r)) == ys[r] as usize)
@@ -749,6 +742,7 @@ mod tests {
 
     #[test]
     fn learns_linear_regression() {
+        let mut s = TrainScratch::default();
         let rows: Vec<Vec<f64>> = (0..200)
             .map(|i| vec![(i % 10) as f64 / 10.0, ((i / 10) % 10) as f64 / 10.0])
             .collect();
@@ -758,18 +752,19 @@ mod tests {
         let all: Vec<usize> = (0..xs.rows()).collect();
         let mut last = f64::INFINITY;
         for _ in 0..500 {
-            last = mlp.train_batch(&xs, &ys, &all, 0.05, &TrainOpts::default());
+            last = mlp.train_batch(&xs, &ys, &all, 0.05, &TrainOpts::default(), &mut s);
         }
         assert!(last < 0.02, "final loss {last}");
     }
 
     #[test]
     fn nonfinite_gradients_do_not_poison_the_weights() {
+        let mut s = TrainScratch::default();
         let xs = Matrix::from_rows(&[vec![f64::NAN, 1.0], vec![0.5, f64::INFINITY]]);
         let ys = vec![0.0, 1.0];
         let mut mlp = Mlp::new(2, &[4], 1, Objective::SquaredError, 5);
         let before = mlp.get_params();
-        mlp.train_batch(&xs, &ys, &[0, 1], 0.1, &TrainOpts::default());
+        mlp.train_batch(&xs, &ys, &[0, 1], 0.1, &TrainOpts::default(), &mut s);
         let after = mlp.get_params();
         assert_eq!(before, after, "update should be skipped on NaN gradients");
         assert!(after.iter().all(|p| p.is_finite()));
@@ -797,6 +792,7 @@ mod tests {
 
     #[test]
     fn ewc_penalty_pulls_params_toward_anchor() {
+        let mut s = TrainScratch::default();
         let (xs, ys) = xor_data();
         let mut free = Mlp::new(2, &[8], 2, Objective::CrossEntropy, 5);
         let mut anchored = free.clone();
@@ -804,7 +800,7 @@ mod tests {
         let fisher = vec![1.0; free.n_params()];
         let rows: Vec<usize> = (0..64).collect();
         for _ in 0..50 {
-            free.train_batch(&xs, &ys, &rows, 0.1, &TrainOpts::default());
+            free.train_batch(&xs, &ys, &rows, 0.1, &TrainOpts::default(), &mut s);
             anchored.train_batch(
                 &xs,
                 &ys,
@@ -814,6 +810,7 @@ mod tests {
                     ewc: Some((&anchor, &fisher, 10.0)),
                     ..Default::default()
                 },
+                &mut s,
             );
         }
         let drift_free: f64 = free
@@ -836,13 +833,14 @@ mod tests {
 
     #[test]
     fn distillation_keeps_outputs_near_previous_model() {
+        let mut s = TrainScratch::default();
         let (xs, ys) = xor_data();
         let teacher = Mlp::new(2, &[8], 2, Objective::CrossEntropy, 6);
         let mut plain = teacher.clone();
         let mut distilled = teacher.clone();
         let rows: Vec<usize> = (0..64).collect();
         for _ in 0..100 {
-            plain.train_batch(&xs, &ys, &rows, 0.1, &TrainOpts::default());
+            plain.train_batch(&xs, &ys, &rows, 0.1, &TrainOpts::default(), &mut s);
             distilled.train_batch(
                 &xs,
                 &ys,
@@ -852,6 +850,7 @@ mod tests {
                     distill: Some((&teacher, 5.0)),
                     ..Default::default()
                 },
+                &mut s,
             );
         }
         // Output agreement with the teacher on fresh points.
@@ -884,6 +883,7 @@ mod tests {
 
     #[test]
     fn outlier_input_can_explode_regression_loss() {
+        let mut s = TrainScratch::default();
         // The §5.3 vulnerability: a single absurd input value drives the
         // un-clipped network's loss to astronomical values.
         let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![(i % 8) as f64]).collect();
@@ -892,12 +892,12 @@ mod tests {
         let mut mlp = Mlp::new(1, &[8], 1, Objective::SquaredError, 9);
         let all: Vec<usize> = (0..64).collect();
         for _ in 0..50 {
-            mlp.train_batch(&xs, &ys, &all, 0.01, &TrainOpts::default());
+            mlp.train_batch(&xs, &ys, &all, 0.01, &TrainOpts::default(), &mut s);
         }
         let sane_loss = mlp.loss(&[4.0], 4.0);
         // One corrupted training batch with a 999,990 input.
         let bad = Matrix::from_rows(&[vec![999_990.0]]);
-        mlp.train_batch(&bad, &[0.0], &[0], 0.01, &TrainOpts::default());
+        mlp.train_batch(&bad, &[0.0], &[0], 0.01, &TrainOpts::default(), &mut s);
         let post_loss = mlp.loss(&[4.0], 4.0);
         assert!(
             !post_loss.is_finite() || post_loss > sane_loss * 100.0,

@@ -2,7 +2,7 @@
 //! (10 epochs, batch size 64, learning rate 0.01) and the pluggable
 //! regularisers used by the EWC / LwF variants.
 
-use crate::mlp::{Mlp, TrainOpts};
+use crate::mlp::{Mlp, TrainOpts, TrainScratch};
 use oeb_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -50,9 +50,8 @@ pub enum Regularizer {
     /// Learning without Forgetting: distillation toward the previous
     /// window's model outputs.
     Lwf {
-        /// Snapshot of the model after the previous window (boxed: an
-        /// `Mlp` carries batch scratch and dwarfs the other variants).
-        prev: Box<Mlp>,
+        /// Snapshot of the model after the previous window.
+        prev: Mlp,
         /// Regularisation factor (paper sweeps 1e-3..10).
         lambda: f64,
     },
@@ -99,6 +98,9 @@ fn train_window_impl(
     let mut order: Vec<usize> = (0..xs.rows()).collect();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut last_epoch_loss = 0.0;
+    // Batch buffers for this window only: freed on return, so a model
+    // holds no training scratch between windows.
+    let mut scratch = TrainScratch::default();
     // The regulariser borrows are identical for every mini-batch, so the
     // options are built once per window, not once per chunk.
     let opts = match reg {
@@ -124,7 +126,7 @@ fn train_window_impl(
             epoch_loss += if reference {
                 model.train_batch_reference(xs, ys, chunk, cfg.lr, &opts)
             } else {
-                model.train_batch(xs, ys, chunk, cfg.lr, &opts)
+                model.train_batch(xs, ys, chunk, cfg.lr, &opts, &mut scratch)
             };
             batches += 1;
         }

@@ -3,7 +3,7 @@
 //! sanity and exemplar-buffer invariants over arbitrary inputs.
 
 use oeb_linalg::Matrix;
-use oeb_nn::{softmax, ExemplarBuffer, Mlp, Objective, SgdConfig, TrainOpts};
+use oeb_nn::{softmax, ExemplarBuffer, Mlp, Objective, SgdConfig, TrainOpts, TrainScratch};
 use proptest::prelude::*;
 
 proptest! {
@@ -55,7 +55,7 @@ proptest! {
         let before = m.loss(&x, y);
         prop_assume!(before > 1e-6);
         let xs = Matrix::from_rows(std::slice::from_ref(&x));
-        m.train_batch(&xs, &[y], &[0], 0.001, &TrainOpts::default());
+        m.train_batch(&xs, &[y], &[0], 0.001, &TrainOpts::default(), &mut TrainScratch::default());
         let after = m.loss(&x, y);
         prop_assert!(after <= before + 1e-9, "loss rose from {before} to {after}");
     }
@@ -147,13 +147,14 @@ proptest! {
         };
         // Several steps, including 1-row batches and a ragged tail.
         let all: Vec<usize> = (0..n_rows).collect();
+        let mut scratch = TrainScratch::default();
         for step in 0..3 {
             let batch: Vec<usize> = match step {
                 0 => vec![all[seed as usize % n_rows]],
                 1 => all.clone(),
                 _ => all.iter().copied().step_by(2).collect(),
             };
-            let lb = batched.train_batch(&xs, &ys, &batch, 0.01, &opts);
+            let lb = batched.train_batch(&xs, &ys, &batch, 0.01, &opts, &mut scratch);
             let lr_ = reference.train_batch_reference(&xs, &ys, &batch, 0.01, &opts);
             prop_assert!(
                 lb.to_bits() == lr_.to_bits() || (lb.is_nan() && lr_.is_nan()),

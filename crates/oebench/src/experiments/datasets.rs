@@ -4,6 +4,7 @@
 //! drift-type audit of the case-study streams).
 
 use super::{ExpContext, ExperimentOutput};
+use crate::executor::{parallel_map, resolve_threads};
 use crate::report::{assign_levels, TextTable};
 use crate::select::select_representatives;
 use crate::stats::OeStats;
@@ -253,7 +254,12 @@ pub fn fig3(ctx: &ExpContext, stats: &[OeStats]) -> ExperimentOutput {
 
 /// Table 13: drift-type audit of the case-study datasets — the declared
 /// generator pattern vs what the detectors measure.
-pub fn table13(ctx: &ExpContext) -> ExperimentOutput {
+///
+/// Each row is [`ExpContext::entry_stats`], exactly a row of
+/// [`ExpContext::stats_all`]. `shared` is the run's
+/// stats cache: when it is filled the rows are read from it, otherwise
+/// only the ten case-study datasets are extracted, over the executor.
+pub fn table13(ctx: &ExpContext, shared: Option<&[OeStats]>) -> ExperimentOutput {
     let case_names = [
         "Italian City Air Quality",
         "Beijing Multi-Site Air-Quality Tiantan",
@@ -267,7 +273,25 @@ pub fn table13(ctx: &ExpContext) -> ExperimentOutput {
         "Airlines",
     ];
     let registry = ctx.registry();
-    let cfg = crate::stats::StatsConfig::default();
+    let cases: Vec<usize> = case_names
+        .iter()
+        .map(|&name| {
+            registry
+                .iter()
+                .position(|e| e.spec.name == name)
+                .expect("case-study dataset in registry")
+        })
+        .collect();
+    let extracted: Vec<OeStats>;
+    let case_stats: Vec<&OeStats> = match shared {
+        Some(all) => cases.iter().map(|&i| &all[i]).collect(),
+        None => {
+            extracted = parallel_map(cases.len(), resolve_threads(None), |k| {
+                ExpContext::entry_stats(&registry[cases[k]])
+            });
+            extracted.iter().collect()
+        }
+    };
     let mut t = TextTable::new(vec![
         "Dataset",
         "Problem type",
@@ -276,12 +300,9 @@ pub fn table13(ctx: &ExpContext) -> ExperimentOutput {
         "Concept drift (measured)",
     ]);
     let mut json_rows = Vec::new();
-    for name in case_names {
-        let entry = registry
-            .iter()
-            .find(|e| e.spec.name == name)
-            .expect("case-study dataset in registry");
-        let stats = crate::stats::extract_stats(&ctx.dataset(entry, 0), &cfg);
+    for ((name, &i), stats) in case_names.iter().zip(&cases).zip(case_stats) {
+        let entry = &registry[i];
+        debug_assert_eq!(stats.name, entry.spec.name, "stats are in registry order");
         let pattern = match entry.spec.drift_pattern {
             DriftPattern::Stationary => "stationary",
             DriftPattern::Gradual => "gradual",

@@ -162,7 +162,8 @@ pub fn table4(ctx: &ExpContext) -> ExperimentOutput {
 }
 
 /// Table 5: throughput (items/s) of the algorithms on the five selected
-/// datasets.
+/// datasets. Each cell is timed while other cells run on the other
+/// workers, so the figures are comparable only within one run.
 pub fn table5(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
     let algorithms = Algorithm::all();

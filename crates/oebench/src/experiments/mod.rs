@@ -8,6 +8,7 @@ pub mod datasets;
 pub mod main_results;
 pub mod sweeps;
 
+use crate::executor::{parallel_map, resolve_threads};
 use crate::stats::{extract_stats, OeStats, StatsConfig};
 use oeb_synth::DatasetEntry;
 use oeb_tabular::StreamDataset;
@@ -51,19 +52,38 @@ impl ExpContext {
 
     /// Generates a dataset from an entry with the given seed, through
     /// the process-wide generation cache: experiments touching the same
-    /// (spec, seed) share one materialized dataset.
+    /// (spec, seed) share one materialized dataset. The case-study
+    /// drivers use it; [`ExpContext::stats_all`] deliberately does not.
     pub fn dataset(&self, entry: &DatasetEntry, seed: u64) -> Arc<StreamDataset> {
         oeb_synth::generate_cached(&entry.spec, seed)
     }
 
     /// Extracts open-environment statistics for every registry dataset
-    /// (seed 0). This is the §4.3 pipeline over the whole collection.
+    /// (seed 0), in registry order. This is the §4.3 pipeline over the
+    /// whole collection.
+    ///
+    /// The registry fans out over the executor and is collected in
+    /// registry order, so the result is identical at any worker count.
+    /// Each dataset is generated uncached and freed after extraction:
+    /// nothing else in a run asks for most of the 55 datasets again, so
+    /// routing them through the bounded synth cache would only keep them
+    /// resident.
     pub fn stats_all(&self) -> Vec<OeStats> {
-        let cfg = StatsConfig::default();
-        self.registry()
-            .iter()
-            .map(|e| extract_stats(&self.dataset(e, 0), &cfg))
-            .collect()
+        let registry = self.registry();
+        parallel_map(registry.len(), resolve_threads(None), |i| {
+            Self::entry_stats(&registry[i])
+        })
+    }
+
+    /// One row of [`ExpContext::stats_all`]: the statistics of `entry`'s
+    /// seed-0 dataset under the default configuration, generated
+    /// uncached. Every consumer of §4.3 rows computes them here, so a
+    /// row read from the stats cache equals a freshly extracted one.
+    pub fn entry_stats(entry: &DatasetEntry) -> OeStats {
+        extract_stats(
+            &oeb_synth::generate(&entry.spec, 0),
+            &StatsConfig::default(),
+        )
     }
 }
 
@@ -102,28 +122,30 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig17", "fig18", "fig19", "table10", "table13",
 ];
 
+/// The §4.3 statistics of the run, computed by the first artifact that
+/// needs them and borrowed by every later one.
+fn shared_stats<'a>(ctx: &ExpContext, cache: &'a mut Option<Vec<OeStats>>) -> &'a [OeStats] {
+    cache.get_or_insert_with(|| ctx.stats_all())
+}
+
 /// Dispatches an experiment by id.
 ///
 /// `stats_cache`: pass the output of [`ExpContext::stats_all`] when
 /// running several stats-hungry experiments in one process so the §4.3
-/// pipeline runs once.
+/// pipeline runs once. Table 3, Figures 2, 3 and 9 fill it when it is
+/// empty; Table 13 only reads it, and extracts its ten case-study
+/// datasets itself when it is empty.
 pub fn run_experiment(
     id: &str,
     ctx: &ExpContext,
     stats_cache: &mut Option<Vec<OeStats>>,
 ) -> Option<ExperimentOutput> {
-    let mut need_stats = || -> Vec<OeStats> {
-        if stats_cache.is_none() {
-            *stats_cache = Some(ctx.stats_all());
-        }
-        stats_cache.clone().expect("filled above")
-    };
     Some(match id {
         "table2" => datasets::table2(ctx),
-        "table3" => datasets::table3(ctx, &need_stats()),
-        "fig2" => datasets::fig2(ctx, &need_stats()),
-        "fig3" => datasets::fig3(ctx, &need_stats()),
-        "table13" => datasets::table13(ctx),
+        "table3" => datasets::table3(ctx, shared_stats(ctx, stats_cache)),
+        "fig2" => datasets::fig2(ctx, shared_stats(ctx, stats_cache)),
+        "fig3" => datasets::fig3(ctx, shared_stats(ctx, stats_cache)),
+        "table13" => datasets::table13(ctx, stats_cache.as_deref()),
         "fig4" => cases::fig4(ctx),
         "fig5" => cases::fig5(ctx),
         "fig6" => cases::fig6(ctx),
@@ -133,7 +155,7 @@ pub fn run_experiment(
         "table5" => main_results::table5(ctx),
         "table6" => main_results::table6(ctx),
         "table9" => main_results::table9(ctx),
-        "fig9" => main_results::fig9(ctx, &need_stats()),
+        "fig9" => main_results::fig9(ctx, shared_stats(ctx, stats_cache)),
         "fig10" => sweeps::fig10(ctx),
         "fig11" => sweeps::fig11(ctx),
         "fig12" => sweeps::fig12(ctx),

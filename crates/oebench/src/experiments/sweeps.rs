@@ -2,6 +2,7 @@
 //! the paper.
 
 use super::{json_f64, json_series, ExpContext, ExperimentOutput};
+use crate::executor::{parallel_map, resolve_threads};
 use crate::harness::{run_seeds, run_stream, HarnessConfig, ImputerChoice, OutlierRemoval};
 use crate::learners::Algorithm;
 use crate::report::{fmt_summary, TextTable};
@@ -19,41 +20,47 @@ struct SweepCell {
 
 /// Runs `algorithms x variants` over `entries`, averaging over the
 /// context seeds.
+///
+/// The (entry, algorithm, variant) grid fans out over the executor and
+/// is collected in grid order, so the cells are identical at any worker
+/// count. Workers crossing the same dataset share it through the synth
+/// and prepare caches.
 fn sweep(
     ctx: &ExpContext,
     entries: &[DatasetEntry],
     algorithms: &[Algorithm],
     variants: &[(String, HarnessConfig)],
 ) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for entry in entries {
-        for &alg in algorithms {
-            for (variant, cfg) in variants {
-                let (summary, results) = run_seeds(
-                    |seed| oeb_synth::generate_cached(&entry.spec, seed),
-                    alg,
-                    cfg,
-                    &ctx.seeds,
-                );
-                let train_seconds = if results.is_empty() {
-                    0.0
-                } else {
-                    results.iter().map(|r| r.train_seconds).sum::<f64>() / results.len() as f64
-                };
-                cells.push(SweepCell {
-                    dataset: entry
-                        .selected
-                        .map(str::to_string)
-                        .unwrap_or_else(|| entry.spec.name.clone()),
-                    algorithm: alg,
-                    variant: variant.clone(),
-                    summary,
-                    train_seconds,
-                });
-            }
+    let grid: Vec<(usize, usize, usize)> = (0..entries.len())
+        .flat_map(|e| {
+            (0..algorithms.len()).flat_map(move |a| (0..variants.len()).map(move |v| (e, a, v)))
+        })
+        .collect();
+    parallel_map(grid.len(), resolve_threads(None), |i| {
+        let (e, a, v) = grid[i];
+        let (entry, alg, (variant, cfg)) = (&entries[e], algorithms[a], &variants[v]);
+        let (summary, results) = run_seeds(
+            |seed| oeb_synth::generate_cached(&entry.spec, seed),
+            alg,
+            cfg,
+            &ctx.seeds,
+        );
+        let train_seconds = if results.is_empty() {
+            0.0
+        } else {
+            results.iter().map(|r| r.train_seconds).sum::<f64>() / results.len() as f64
+        };
+        SweepCell {
+            dataset: entry
+                .selected
+                .map(str::to_string)
+                .unwrap_or_else(|| entry.spec.name.clone()),
+            algorithm: alg,
+            variant: variant.clone(),
+            summary,
+            train_seconds,
         }
-    }
-    cells
+    })
 }
 
 /// Renders a sweep as `dataset x algorithm` rows with one column per
@@ -279,12 +286,15 @@ pub fn fig16(ctx: &ExpContext) -> ExperimentOutput {
 /// curve per variant per dataset, best-family algorithm per task (DT on
 /// the classification stream, NN on the regression stream, as §6.7/6.8
 /// plot their best performers).
-fn curve_experiment<V>(
+///
+/// The (target, variant) grid fans out over the executor; text and JSON
+/// are built after collection, in grid order.
+fn curve_experiment<V: Sync>(
     ctx: &ExpContext,
     id: &'static str,
     title: &'static str,
     variants: &[(&'static str, V)],
-    apply: impl Fn(&mut HarnessConfig, &(&'static str, V)),
+    apply: impl Fn(&mut HarnessConfig, &(&'static str, V)) + Sync,
 ) -> ExperimentOutput {
     let five = ctx.selected_five();
     let targets: Vec<(&DatasetEntry, Algorithm)> = five
@@ -295,44 +305,51 @@ fn curve_experiment<V>(
             _ => None,
         })
         .collect();
+    let seed = ctx.seeds.first().copied().unwrap_or(0);
+    let grid: Vec<(usize, usize)> = (0..targets.len())
+        .flat_map(|t| (0..variants.len()).map(move |v| (t, v)))
+        .collect();
+    let runs = parallel_map(grid.len(), resolve_threads(None), |i| {
+        let (t, v) = grid[i];
+        let (entry, alg) = targets[t];
+        let mut cfg = HarnessConfig::default();
+        apply(&mut cfg, &variants[v]);
+        run_stream(&oeb_synth::generate_cached(&entry.spec, seed), alg, &cfg)
+    });
     let mut text = String::new();
     let mut json_rows = Vec::new();
-    for (entry, alg) in targets {
-        let dataset =
-            oeb_synth::generate_cached(&entry.spec, ctx.seeds.first().copied().unwrap_or(0));
-        for v in variants {
-            let mut cfg = HarnessConfig::default();
-            apply(&mut cfg, v);
-            let Some(run) = run_stream(&dataset, alg, &cfg) else {
-                continue;
-            };
-            let curve: Vec<String> = run
-                .per_window_loss
-                .iter()
-                .map(|l| {
-                    if l.is_finite() {
-                        format!("{l:.3}")
-                    } else {
-                        "inf".into()
-                    }
-                })
-                .collect();
-            text.push_str(&format!(
-                "{} [{}] {}: mean {:.3}\n  {}\n",
-                entry.selected.unwrap_or("?"),
-                alg.name(),
-                v.0,
-                run.mean_loss,
-                curve.join(" ")
-            ));
-            json_rows.push(json!({
-                "dataset": entry.selected,
-                "algorithm": alg.name(),
-                "variant": v.0,
-                "curve": json_series(&run.per_window_loss),
-                "mean": json_f64(run.mean_loss),
-            }));
-        }
+    for (&(t, v), run) in grid.iter().zip(&runs) {
+        let Some(run) = run else {
+            continue;
+        };
+        let (entry, alg) = targets[t];
+        let variant = variants[v].0;
+        let curve: Vec<String> = run
+            .per_window_loss
+            .iter()
+            .map(|l| {
+                if l.is_finite() {
+                    format!("{l:.3}")
+                } else {
+                    "inf".into()
+                }
+            })
+            .collect();
+        text.push_str(&format!(
+            "{} [{}] {}: mean {:.3}\n  {}\n",
+            entry.selected.unwrap_or("?"),
+            alg.name(),
+            variant,
+            run.mean_loss,
+            curve.join(" ")
+        ));
+        json_rows.push(json!({
+            "dataset": entry.selected,
+            "algorithm": alg.name(),
+            "variant": variant,
+            "curve": json_series(&run.per_window_loss),
+            "mean": json_f64(run.mean_loss),
+        }));
     }
     ExperimentOutput {
         id,
@@ -420,6 +437,11 @@ pub fn fig19(ctx: &ExpContext) -> ExperimentOutput {
 
 /// Table 10: training wall-clock per epochs setting for the NN family,
 /// plus the epoch-independent tree algorithms.
+///
+/// Both grids fan out over the executor, so each cell's time is measured
+/// while other cells run on the other workers: the figures depend on the
+/// worker count and are comparable only within one run (`--threads 1`
+/// gives uncontended times).
 pub fn table10(ctx: &ExpContext) -> ExperimentOutput {
     let entries = ctx.selected_five();
     let variants: Vec<(String, HarnessConfig)> = [1usize, 5, 10, 20]

@@ -259,7 +259,7 @@ impl StreamLearner for LwfNn {
     fn train_window(&mut self, xs: &Matrix, ys: &[f64]) {
         let reg = match &self.prev {
             Some(prev) => Regularizer::Lwf {
-                prev: Box::new(prev.clone()),
+                prev: prev.clone(),
                 lambda: self.cfg.lwf_lambda,
             },
             None => Regularizer::None,
