@@ -42,10 +42,10 @@ cargo fmt --check
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
-# Static invariant gate (oeb-lint): the five rules clippy cannot
+# Static invariant gate (oeb-lint): the four rules clippy cannot
 # express — nan-partial-cmp, panic-in-library (constant-literal
-# indexing in kernel crates), delta-equivalence coverage, lock-order
-# cycles and stale suppressions; see DESIGN.md, "Static invariants".
+# indexing in kernel crates), lock-order cycles and stale
+# suppressions; see DESIGN.md, "Static invariants".
 # The JSON report lands next to the bench artifacts; --time-budget-ms
 # is a self-timing gate — the full workspace pass (index + all rules)
 # must stay under one second or the lint itself fails CI. For
@@ -110,30 +110,20 @@ grep -Eq 'evaluate\.window\.latency_us +count=[1-9]' "$smoke_dir/metrics.txt" \
 cargo run --release -p oeb-bench --bin bench_kernels -- \
     --quick --out "$smoke_dir/BENCH_kernels.json"
 
-# Smoke: incremental-vs-full statistics equivalence. The two engines
-# must render identical stats reports below the `stats-mode:` header;
-# the incremental run is traced, so its spans must validate and its
-# stats.* delta counters must land in the metrics table and pass the
-# counter vocabulary gate.
+# Smoke: the §4.3 statistics report. The same extraction traced must
+# print a byte-identical report, its spans must validate against the
+# span schema, and its metrics table must pass the counter vocabulary
+# gate.
 cargo run --release --bin oebench -- stats "Electricity Prices" --scale 0.05 \
-    --stats-mode full > "$smoke_dir/stats_full.txt"
+    > "$smoke_dir/stats.txt"
 cargo run --release --bin oebench -- stats "Electricity Prices" --scale 0.05 \
-    --stats-mode incremental --trace "$smoke_dir/stats_trace.jsonl" \
-    --metrics > "$smoke_dir/stats_incremental.txt" 2> "$smoke_dir/stats_metrics.txt" \
+    --trace "$smoke_dir/stats_trace.jsonl" --metrics \
+    > "$smoke_dir/stats_traced.txt" 2> "$smoke_dir/stats_metrics.txt" \
     || { cat "$smoke_dir/stats_metrics.txt"; exit 1; }
-diff <(tail -n +2 "$smoke_dir/stats_full.txt") \
-     <(tail -n +2 "$smoke_dir/stats_incremental.txt") \
-    || { echo "ci: incremental stats diverged from the full engine" >&2; exit 1; }
+diff "$smoke_dir/stats.txt" "$smoke_dir/stats_traced.txt" \
+    || { echo "ci: traced stats report diverged from the untraced one" >&2; exit 1; }
 cargo run --release -p oeb-bench --bin trace_check -- "$smoke_dir/stats_trace.jsonl" \
     --counters "$smoke_dir/stats_metrics.txt"
-grep -Eq 'stats\.delta\.absorbed +[1-9]' "$smoke_dir/stats_metrics.txt" \
-    || { echo "ci: no stats.delta.absorbed in stats --metrics output" >&2; exit 1; }
-
-# Smoke: delta-statistics benchmark (quick profile). The binary asserts
-# digest equality between the full and incremental engines while
-# timing, so an equivalence regression fails CI here too.
-cargo run --release -p oeb-bench --bin bench_incremental -- \
-    --quick --out "$smoke_dir/BENCH_incremental.json"
 
 # Smoke: batched training kernels (quick profile). The binary asserts
 # the training equivalences while timing — MLP GEMM batch vs per-sample

@@ -3,7 +3,7 @@
 //! selection-pipeline math (PCA + K-Means + t-SNE behind Figures 2/6).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use oeb_core::{extract_stats, run_stream, Algorithm, HarnessConfig, StatsConfig};
+use oeb_core::{extract_stats, run_stream, Algorithm, HarnessConfig};
 use oeb_linalg::{kmeans, tsne, KMeansConfig, Matrix, Pca, TsneConfig};
 use oeb_synth::{generate, registry_scaled};
 use rand::rngs::StdRng;
@@ -32,7 +32,7 @@ fn bench_stats_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("stats_extraction_2pct");
     group.sample_size(10);
     group.bench_function("electricity", |b| {
-        b.iter(|| std::hint::black_box(extract_stats(&d, &StatsConfig::default())))
+        b.iter(|| std::hint::black_box(extract_stats(&d)))
     });
     group.finish();
 }

@@ -10,10 +10,8 @@
 use crate::state::{BatchDriftDetector, DriftState};
 use oeb_linalg::{hellinger, Histogram, Matrix};
 
-/// Histogram resolution used for the per-feature Hellinger distances
-/// (shared with the delta variant in [`crate::delta`] so both sides bin
-/// identically).
-pub(crate) const BINS: usize = 16;
+/// Histogram resolution used for the per-feature Hellinger distances.
+const BINS: usize = 16;
 
 /// HDDDM detector.
 #[derive(Debug, Clone)]

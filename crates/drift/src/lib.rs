@@ -24,7 +24,6 @@
 pub mod adwin;
 pub mod cdbd;
 pub mod ddm;
-pub mod delta;
 pub mod ecdd;
 pub mod hdddm;
 pub mod hddm;
@@ -37,7 +36,6 @@ pub mod state;
 pub use adwin::Adwin;
 pub use cdbd::Cdbd;
 pub use ddm::{Ddm, Eddm};
-pub use delta::{CdbdDelta, HdddmDelta, KsDeltaDetector};
 pub use ecdd::Ecdd;
 pub use hdddm::Hdddm;
 pub use hddm::HddmA;

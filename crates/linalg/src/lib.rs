@@ -20,7 +20,6 @@
 // chains in these kernels.
 #![allow(clippy::needless_range_loop)]
 
-pub mod ecdf;
 pub mod eigen;
 pub mod kernels;
 pub mod kmeans;
@@ -30,7 +29,6 @@ pub mod solve;
 pub mod stats;
 pub mod tsne;
 
-pub use ecdf::{ks_between, EcdfMultiset, EcdfUniverse};
 pub use eigen::{symmetric_eigen, Eigen};
 pub use kernels::{axpy, dot_from, dot_sub_from, matmul_into, matvec_into, scale_add};
 pub use kmeans::{kmeans, KMeansConfig, KMeansResult};

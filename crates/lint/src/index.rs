@@ -1,29 +1,11 @@
 //! Workspace index: one pass over every parsed file distils the facts
-//! the semantic rules consume — `DeltaStat` impls, test functions with
-//! the types they exercise, and a static lock-order graph.
+//! the semantic rules consume — the static lock-order graph.
 
 use std::collections::BTreeMap;
 
 use crate::engine::SourceFile;
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{Item, ItemKind};
-
-/// One `impl DeltaStat for T` site.
-#[derive(Debug, Clone)]
-pub struct DeltaImpl {
-    pub type_name: String,
-    pub file: String,
-    pub line: u32,
-}
-
-/// One `#[test]` function, with the capitalised identifiers its body
-/// mentions (candidate type names) and whether it asserts bitwise /
-/// snapshot equivalence.
-#[derive(Debug, Clone)]
-pub struct TestFn {
-    pub types: Vec<String>,
-    pub equivalence: bool,
-}
 
 /// One static lock acquisition site.
 #[derive(Debug, Clone)]
@@ -50,8 +32,6 @@ pub struct LockEdge {
 /// Everything the semantic rules need, from one pass over the files.
 #[derive(Debug, Default)]
 pub struct WorkspaceIndex {
-    pub delta_impls: Vec<DeltaImpl>,
-    pub test_fns: Vec<TestFn>,
     pub lock_sites: Vec<LockSite>,
     pub lock_edges: Vec<LockEdge>,
 }
@@ -68,7 +48,6 @@ impl WorkspaceIndex {
                 file,
                 file_idx: fi,
                 impl_type: None,
-                idx: &mut idx,
                 fns: &mut fns,
                 statics: &mut statics,
             };
@@ -84,8 +63,6 @@ impl WorkspaceIndex {
             .collect();
         build_edges(files, &fns, &acquisitions, &mut idx);
 
-        idx.delta_impls
-            .sort_by(|a, b| (&a.type_name, &a.file).cmp(&(&b.type_name, &b.file)));
         idx.lock_sites
             .sort_by(|a, b| (&a.file, a.line, &a.lock).cmp(&(&b.file, b.line, &b.lock)));
         idx.lock_edges.sort_by(|a, b| {
@@ -98,7 +75,7 @@ impl WorkspaceIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Collection pass: delta impls, test fns, fns, statics
+// Collection pass: fns, statics
 // ---------------------------------------------------------------------------
 
 /// A function the lock analysis will scan, with enough context to
@@ -128,7 +105,6 @@ struct CollectCtx<'a> {
     file: &'a SourceFile,
     file_idx: usize,
     impl_type: Option<String>,
-    idx: &'a mut WorkspaceIndex,
     fns: &'a mut Vec<FnInfo>,
     statics: &'a mut Vec<StaticLock>,
 }
@@ -146,9 +122,6 @@ fn collect_item(item: &Item, ctx: &mut CollectCtx) {
                     params: item.params.iter().map(|p| p.name.clone()).collect(),
                     wrapper_param: None,
                 });
-                if item.is_test_item() {
-                    collect_test_fn(item, body, ctx);
-                }
             }
         }
         ItemKind::Static
@@ -168,13 +141,6 @@ fn collect_item(item: &Item, ctx: &mut CollectCtx) {
                 id,
             });
         }
-        ItemKind::Impl if item.trait_name.as_deref() == Some("DeltaStat") => {
-            ctx.idx.delta_impls.push(DeltaImpl {
-                type_name: item.name.clone(),
-                file: ctx.file.path.clone(),
-                line: item.start_line,
-            });
-        }
         _ => {}
     }
     let saved = ctx.impl_type.clone();
@@ -185,36 +151,6 @@ fn collect_item(item: &Item, ctx: &mut CollectCtx) {
         collect_item(child, ctx);
     }
     ctx.impl_type = saved;
-}
-
-/// `#[test]` fn: record capitalised identifiers (candidate type names)
-/// and whether it asserts equivalence (bitwise/snapshot assertions in
-/// the body, or an equivalence-shaped name).
-fn collect_test_fn(item: &Item, body: (usize, usize), ctx: &mut CollectCtx) {
-    let tokens = &ctx.file.tokens[body.0..body.1.min(ctx.file.tokens.len())];
-    let mut types: Vec<String> = tokens
-        .iter()
-        .filter(|t| {
-            t.kind == TokenKind::Ident
-                && t.text
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_ascii_uppercase())
-        })
-        .map(|t| t.text.clone())
-        .collect();
-    types.sort();
-    types.dedup();
-    let body_marker = tokens
-        .iter()
-        .any(|t| t.kind == TokenKind::Ident && (t.text == "to_bits" || t.text == "field_bits"));
-    let name_marker = ["bitwise", "equivalence", "matches"]
-        .iter()
-        .any(|m| item.name.contains(m));
-    ctx.idx.test_fns.push(TestFn {
-        types,
-        equivalence: body_marker || name_marker,
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -644,27 +580,6 @@ mod tests {
         let parsed: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::parse(p, s)).collect();
         let idx = WorkspaceIndex::build(&parsed);
         (parsed, idx)
-    }
-
-    #[test]
-    fn delta_impls_and_equivalence_tests_are_found() {
-        let (_, idx) = ws(&[(
-            "crates/tabular/src/delta.rs",
-            "pub struct MissingDelta { n: usize }\n\
-             impl DeltaStat for MissingDelta { }\n\
-             #[cfg(test)]\nmod tests {\n\
-               #[test]\n fn snapshot_matches_bitwise() {\n\
-                 let d = MissingDelta { n: 0 };\n\
-                 assert_eq!(1f64.to_bits(), 1f64.to_bits());\n\
-               }\n\
-             }\n",
-        )]);
-        assert_eq!(idx.delta_impls.len(), 1);
-        assert_eq!(idx.delta_impls[0].type_name, "MissingDelta");
-        assert_eq!(idx.test_fns.len(), 1);
-        let t = &idx.test_fns[0];
-        assert!(t.equivalence);
-        assert!(t.types.iter().any(|n| n == "MissingDelta"));
     }
 
     #[test]

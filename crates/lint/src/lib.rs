@@ -13,7 +13,7 @@
 //! warn on `unwrap`/`expect`, the `rand` shim has no entropy-seeded
 //! constructor, the counter vocabulary is the
 //! `oeb_trace::counters` registry, and a unit test in oeb-core pins the
-//! exit-code table. This crate keeps the five rules neither clippy nor
+//! exit-code table. This crate keeps the four rules neither clippy nor
 //! a type can express.
 //!
 //! Pipeline: a hand-rolled [`lexer`] turns each `.rs` file into a
@@ -24,9 +24,8 @@
 //! suppressions); [`rules`] runs two per-file token checks over the
 //! comment-free tokens (`nan-partial-cmp`, and the constant-index half
 //! of `panic-in-library`). A second, workspace-level layer — [`index`]
-//! (`DeltaStat` impls, test fns, and lock acquisitions) feeding
-//! [`semantic`] — runs three cross-file rules: delta-equivalence test
-//! coverage, lock-order cycles, and stale suppressions. The `oeb-lint`
+//! (lock acquisitions) feeding [`semantic`] — runs two cross-file
+//! rules: lock-order cycles and stale suppressions. The `oeb-lint`
 //! binary walks the workspace and gates CI:
 //!
 //! ```text

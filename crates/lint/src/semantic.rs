@@ -1,9 +1,9 @@
 //! Workspace-level semantic rules, consuming the [`WorkspaceIndex`].
 //!
-//! Where the token rules judge one file at a time, these three rules
-//! check contracts that span the workspace: every `DeltaStat` impl must
-//! carry an equivalence test, the static lock graph must be acyclic,
-//! and every suppression must still have something to suppress. The
+//! Where the token rules judge one file at a time, these two rules
+//! check contracts that span the workspace: the static lock graph must
+//! be acyclic, and every suppression must still have something to
+//! suppress. The
 //! counter vocabulary and the exit-code table are held by a type and a
 //! test instead (`oeb_trace::counters`, `error::tests` in oeb-core).
 //!
@@ -21,13 +21,6 @@ use crate::{rules, workspace_files};
 /// Name, invariant, and hint of each semantic rule, mirroring the shape
 /// of [`crate::rules::Rule`] for `oeb-lint rules` output.
 pub const SEMANTIC_RULES: &[(&str, &str, &str)] = &[
-    (
-        "delta-equivalence",
-        "every type implementing DeltaStat is exercised by at least one test asserting \
-         bitwise/snapshot equivalence against the batch path",
-        "add a `#[test]` naming the delta type whose name or body marks it as an \
-         equivalence check (`*_bitwise`, `*_matches_*`, or a `to_bits` assertion)",
-    ),
     (
         "lock-order",
         "the static lock-acquisition graph (Mutex fields and statics, with one-level \
@@ -92,10 +85,9 @@ impl Workspace {
         out
     }
 
-    /// The two index-driven rules, unsuppressed.
+    /// The index-driven rule, unsuppressed.
     pub fn semantic_raw(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        self.delta_equivalence(&mut out);
         self.lock_order(&mut out);
         out
     }
@@ -121,37 +113,6 @@ impl Workspace {
             message,
             snippet,
             hint,
-        }
-    }
-
-    // -- delta-equivalence --------------------------------------------------
-
-    /// Every `impl DeltaStat for T` must be named in at least one test
-    /// that asserts equivalence with the batch path — the contract the
-    /// incremental pipeline's correctness rests on.
-    fn delta_equivalence(&self, out: &mut Vec<Diagnostic>) {
-        const RULE: &str = "delta-equivalence";
-        const HINT: &str = "add a `#[test]` naming the delta type whose name or body marks it \
-                            as an equivalence check (`*_bitwise`, `*_matches_*`, or a `to_bits` \
-                            assertion)";
-        for imp in &self.index.delta_impls {
-            let covered = self
-                .index
-                .test_fns
-                .iter()
-                .any(|t| t.equivalence && t.types.iter().any(|n| n == &imp.type_name));
-            if !covered {
-                out.push(self.semantic_diag(
-                    RULE,
-                    HINT,
-                    &imp.file,
-                    imp.line,
-                    format!(
-                        "`{}` implements DeltaStat but no equivalence test names it",
-                        imp.type_name
-                    ),
-                ));
-            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Golden tests for the three workspace-level semantic rules. Each
+//! Golden tests for the two workspace-level semantic rules. Each
 //! fixture under `tests/fixtures/semantic/` is a miniature workspace:
 //! the `_pos` variant must produce exactly the diagnostics listed in
 //! its `expected.txt` (one `<file> <line> <rule>` triple per line),
@@ -6,7 +6,7 @@
 //! `oeb-lint: allow(...)` comment at every diagnostic site — must
 //! produce none. Running `Workspace::load` + `check` end-to-end also
 //! exercises the parser and index on inputs the real workspace never
-//! provides (uncovered delta types, lock inversions, stale allows).
+//! provides (lock inversions, stale allows).
 
 use std::path::{Path, PathBuf};
 
@@ -45,16 +45,6 @@ fn assert_fixture(name: &str) {
         got, want,
         "fixture {name}: diagnostics diverge from expected.txt\n  got:  {got:#?}\n  want: {want:#?}"
     );
-}
-
-#[test]
-fn delta_equivalence_positive() {
-    assert_fixture("delta_equiv_pos");
-}
-
-#[test]
-fn delta_equivalence_suppressed() {
-    assert_fixture("delta_equiv_allow");
 }
 
 #[test]

@@ -9,7 +9,7 @@ pub mod main_results;
 pub mod sweeps;
 
 use crate::executor::{parallel_map, resolve_threads};
-use crate::stats::{extract_stats, OeStats, StatsConfig};
+use crate::stats::{extract_stats, OeStats};
 use oeb_synth::DatasetEntry;
 use oeb_tabular::StreamDataset;
 use std::sync::Arc;
@@ -80,10 +80,7 @@ impl ExpContext {
     /// uncached. Every consumer of §4.3 rows computes them here, so a
     /// row read from the stats cache equals a freshly extracted one.
     pub fn entry_stats(entry: &DatasetEntry) -> OeStats {
-        extract_stats(
-            &oeb_synth::generate(&entry.spec, 0),
-            &StatsConfig::default(),
-        )
+        extract_stats(&oeb_synth::generate(&entry.spec, 0))
     }
 }
 

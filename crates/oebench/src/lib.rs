@@ -60,7 +60,7 @@ pub use recommend::{recommend, render_tree, Scenario};
 pub use report::{assign_levels, fmt_mean_std, fmt_summary, TextTable};
 pub use sea::{BaseKind, SeaLearner};
 pub use select::{select_representatives, SelectionResult};
-pub use stats::{extract_stats, AvgMax, OeStats, StatsConfig, StatsMode};
+pub use stats::{extract_stats, AvgMax, OeStats};
 pub use supervise::{
     backoff_duration, cell_seed, supervise_cell, CellBudget, SupervisePolicy, Supervised,
 };

@@ -8,81 +8,26 @@
 //! in the paper) and PERM, and window-level anomaly ratios under ECOD and
 //! IForest (3-sigma flagging, average and max across windows).
 
-use crate::executor::{parallel_map, resolve_threads};
 use crate::probe::{GaussianNb, LinearProbe};
 use oeb_drift::{
-    perm_test, Adwin, BatchDriftDetector, Cdbd, CdbdDelta, ConceptDriftDetector, Ddm, DriftState,
-    Eddm, Hdddm, HdddmDelta, HddmA, KdqTreeDetector, KsDeltaDetector, KsDetector, PcaCd,
-    PermConfig,
+    perm_test, Adwin, BatchDriftDetector, Cdbd, ConceptDriftDetector, Ddm, DriftState, Eddm, Hdddm,
+    HddmA, KdqTreeDetector, KsDetector, PcaCd, PermConfig,
 };
-use oeb_linalg::{EcdfMultiset, EcdfUniverse, Matrix};
+use oeb_linalg::Matrix;
 use oeb_outlier::{anomaly_ratio, Ecod, IForestConfig, IsolationForest};
 use oeb_preprocess::{Imputer, KnnImputer, OneHotEncoder, StandardScaler};
-use oeb_tabular::{DeltaStat, MissingDelta, StreamDataset, Table, Task};
-use oeb_trace::counters::{STATS_DELTA_ABSORBED, STATS_DELTA_RETRACTED, STATS_FULL_FALLBACK};
-use std::sync::Arc;
+use oeb_tabular::{StreamDataset, Task};
 
-/// How the §4.3 statistics are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StatsMode {
-    /// Recompute every detector from scratch on each window (the
-    /// retained batch path).
-    #[default]
-    Full,
-    /// Maintain sufficient statistics (ECDF multisets, popcount missing
-    /// counts) and slide them across windows; decisions are
-    /// bit-identical to [`StatsMode::Full`], non-decomposable detectors
-    /// fall back to the batch path (counted by `stats.full.fallback`).
-    Incremental,
-}
+// Cost bounds of the extraction, fixed so that every artifact is computed
+// under one protocol.
 
-impl StatsMode {
-    /// Parses the CLI spelling (`full` / `incremental`).
-    pub fn parse(s: &str) -> Option<StatsMode> {
-        match s {
-            "full" => Some(StatsMode::Full),
-            "incremental" => Some(StatsMode::Incremental),
-            _ => None,
-        }
-    }
-
-    /// The CLI/report spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            StatsMode::Full => "full",
-            StatsMode::Incremental => "incremental",
-        }
-    }
-}
-
-/// Extraction knobs (cost bounds; defaults match the paper's pipeline
-/// semantics at benchmark scale).
-#[derive(Debug, Clone)]
-pub struct StatsConfig {
-    /// Columns examined by the per-column detectors (KS, CDBD, ADWIN,
-    /// HDDM-A); streams with more encoded columns use the first `n`.
-    pub max_columns: usize,
-    /// Rows per window sampled for the batch detectors.
-    pub max_rows_per_window: usize,
-    /// PERM settings.
-    pub perm: PermConfig,
-    /// Batch recompute vs maintained sufficient statistics.
-    pub mode: StatsMode,
-}
-
-impl Default for StatsConfig {
-    fn default() -> Self {
-        StatsConfig {
-            max_columns: 16,
-            max_rows_per_window: 512,
-            perm: PermConfig {
-                n_permutations: 12,
-                ..Default::default()
-            },
-            mode: StatsMode::default(),
-        }
-    }
-}
+/// Columns examined by the per-column detectors (KS, CDBD, ADWIN,
+/// HDDM-A); streams with more encoded columns use the first ones.
+const MAX_COLUMNS: usize = 16;
+/// Rows per window sampled for the batch detectors.
+const MAX_ROWS_PER_WINDOW: usize = 512;
+/// Random permutations per window of the PERM test.
+const PERM_PERMUTATIONS: usize = 12;
 
 /// Average/maximum pair across windows or columns.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -244,9 +189,8 @@ impl OeStats {
         ]
     }
 
-    /// Every floating field as `(name, raw bits)` in a fixed order —
-    /// the equivalence gate between [`StatsMode::Full`] and
-    /// [`StatsMode::Incremental`] compares these for exact equality.
+    /// Every floating field as `(name, raw bits)` in a fixed order, for
+    /// exact reproducibility checks.
     pub fn field_bits(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("missing_rows", self.missing_rows.to_bits()),
@@ -276,17 +220,8 @@ impl OeStats {
 }
 
 /// Extracts the full statistics vector for one stream.
-///
-/// With [`StatsMode::Incremental`] the decomposable statistics (missing
-/// ratios, HDDDM, KS, CDBD, ECOD) are derived from maintained
-/// sufficient statistics instead of per-window recomputation; the
-/// result is bit-identical to [`StatsMode::Full`] (the mode-equivalence
-/// tests and the CI smoke pin this).
-pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
-    let missing = match cfg.mode {
-        StatsMode::Full => dataset.table.missing_stats(),
-        StatsMode::Incremental => incremental_missing_stats(&dataset.table),
-    };
+pub fn extract_stats(dataset: &StreamDataset) -> OeStats {
+    let missing = dataset.table.missing_stats();
     let windows = dataset.windows();
     let n_windows = windows.len();
 
@@ -301,7 +236,7 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
         if w.as_slice().iter().any(|x| !x.is_finite()) {
             imputer.impute(&mut w, &reference);
         }
-        encoded_windows.push(subsample(&w, cfg.max_rows_per_window));
+        encoded_windows.push(subsample(&w, MAX_ROWS_PER_WINDOW));
     }
     if let Some(first) = encoded_windows.first() {
         let scaler = StandardScaler::fit(first);
@@ -310,38 +245,18 @@ pub fn extract_stats(dataset: &StreamDataset, cfg: &StatsConfig) -> OeStats {
         }
     }
 
-    // Per-column value universes for the maintained multisets; only the
-    // incremental mode pays the upfront sort.
-    let n_cols_enc = encoded_windows.first().map(|w| w.cols()).unwrap_or(0);
-    let universes = match cfg.mode {
-        StatsMode::Full => Vec::new(),
-        StatsMode::Incremental => column_universes(&encoded_windows, n_cols_enc),
-    };
-
     // ---- Multi-dimensional data-drift detectors + window outliers ----
-    let sweep = match cfg.mode {
-        StatsMode::Full => full_multi_sweep(&encoded_windows),
-        StatsMode::Incremental => incremental_multi_sweep(&encoded_windows, &universes),
-    };
+    let sweep = multi_sweep(&encoded_windows);
 
     // ---- Per-column detectors ----
-    let n_cols = n_cols_enc.min(cfg.max_columns);
-    let (ks_fracs, cdbd_fracs, adwin_rates, hddm_rates) = match cfg.mode {
-        StatsMode::Full => full_column_stats(&encoded_windows, n_cols, n_windows),
-        StatsMode::Incremental => {
-            incremental_column_stats(&encoded_windows, &universes, n_cols, n_windows)
-        }
-    };
+    let n_cols_enc = encoded_windows.first().map(|w| w.cols()).unwrap_or(0);
+    let n_cols = n_cols_enc.min(MAX_COLUMNS);
+    let (ks_fracs, cdbd_fracs, adwin_rates, hddm_rates) =
+        column_stats(&encoded_windows, n_cols, n_windows);
 
     // ---- Concept drift on probe-model error streams ----
-    // The probe/error loops are inherently sequential in row order; no
-    // sufficient-statistic form exists, so both modes run the batch path.
-    if cfg.mode == StatsMode::Incremental {
-        STATS_FULL_FALLBACK.incr();
-        STATS_FULL_FALLBACK.incr();
-    }
     let (ddm_frac, eddm_frac, adwin_frac) = concept_drift_fracs(dataset, &encoded_windows);
-    let perm_frac = perm_fraction(dataset, &encoded_windows, &cfg.perm);
+    let perm_frac = perm_fraction(dataset, &encoded_windows);
 
     let per_window = n_windows.max(1) as f64;
     OeStats {
@@ -379,9 +294,8 @@ struct MultiSweep {
     iforest_ratios: Vec<f64>,
 }
 
-/// The retained batch path: every detector recomputes from scratch on
-/// each window.
-fn full_multi_sweep(windows: &[Matrix]) -> MultiSweep {
+/// Runs every multi-dimensional detector over the windows in order.
+fn multi_sweep(windows: &[Matrix]) -> MultiSweep {
     let mut hdddm = Hdddm::default();
     let mut kdq = KdqTreeDetector::default();
     let mut pcacd = PcaCd::default();
@@ -426,107 +340,11 @@ fn full_multi_sweep(windows: &[Matrix]) -> MultiSweep {
     }
 }
 
-/// Maintain-and-slide path: one multiset per encoded column slides
-/// across the windows; HDDDM decisions and ECOD models are derived from
-/// the maintained counts, while kdq-tree, PCA-CD and IForest (no
-/// sufficient-statistic form) fall back to the batch detectors.
-fn incremental_multi_sweep(windows: &[Matrix], universes: &[Arc<EcdfUniverse>]) -> MultiSweep {
-    let mut hdddm = HdddmDelta::default();
-    let mut kdq = KdqTreeDetector::default();
-    let mut pcacd = PcaCd::default();
-    let mut cur: Vec<EcdfMultiset> = universes
-        .iter()
-        .map(|u| EcdfMultiset::new(Arc::clone(u)))
-        .collect();
-    let mut hdddm_hits = 0usize;
-    let mut kdq_hits = 0usize;
-    let mut pcacd_hits = 0usize;
-    let mut ecod_ratios = Vec::with_capacity(windows.len());
-    let mut iforest_ratios = Vec::with_capacity(windows.len());
-    let mut prev: Option<&Matrix> = None;
-    for (k, w) in windows.iter().enumerate() {
-        slide_columns(&mut cur, prev, w);
-        prev = Some(w);
-        if hdddm.update(&cur).is_drift() {
-            hdddm_hits += 1;
-        }
-        STATS_FULL_FALLBACK.incr();
-        if kdq.update(w).is_drift() {
-            kdq_hits += 1;
-        }
-        STATS_FULL_FALLBACK.incr();
-        if pcacd.update(w).is_drift() {
-            pcacd_hits += 1;
-        }
-        if w.rows() >= 8 {
-            // The maintained multisets hold exactly this window's values,
-            // so the snapshot model equals a fresh batch fit.
-            let ecod = Ecod::from_sorted_columns(cur.iter().map(|m| m.to_sorted_vec()).collect());
-            ecod_ratios.push(anomaly_ratio(&ecod.score_all(w)));
-            STATS_FULL_FALLBACK.incr();
-            let forest = IsolationForest::fit(
-                w,
-                &IForestConfig {
-                    n_trees: 25,
-                    seed: k as u64,
-                    ..Default::default()
-                },
-            );
-            iforest_ratios.push(anomaly_ratio(&forest.score_all(w)));
-        }
-    }
-    MultiSweep {
-        hdddm_hits,
-        kdq_hits,
-        pcacd_hits,
-        ecod_ratios,
-        iforest_ratios,
-    }
-}
-
-/// Slides the per-column multisets from the previous window onto `w`:
-/// retract every leaving value, absorb every entering one.
-fn slide_columns(cur: &mut [EcdfMultiset], prev: Option<&Matrix>, w: &Matrix) {
-    let mut retracted = 0u64;
-    if let Some(p) = prev {
-        for r in 0..p.rows() {
-            for (c, &x) in p.row(r).iter().enumerate() {
-                if cur[c].remove(x) {
-                    retracted += 1;
-                }
-            }
-        }
-    }
-    let mut absorbed = 0u64;
-    for r in 0..w.rows() {
-        for (c, &x) in w.row(r).iter().enumerate() {
-            if cur[c].insert(x) {
-                absorbed += 1;
-            }
-        }
-    }
-    STATS_DELTA_RETRACTED.add(retracted);
-    STATS_DELTA_ABSORBED.add(absorbed);
-}
-
-/// Per-column value universes over every window of the stream.
-fn column_universes(windows: &[Matrix], n_cols: usize) -> Vec<Arc<EcdfUniverse>> {
-    (0..n_cols)
-        .map(|c| {
-            let mut values = Vec::new();
-            for w in windows {
-                values.extend(w.col(c));
-            }
-            Arc::new(EcdfUniverse::from_values(values))
-        })
-        .collect()
-}
-
 /// `(ks fracs, cdbd fracs, adwin rates, hddm rates)` per column.
 type ColumnStats = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
 
-/// The retained batch per-column loop.
-fn full_column_stats(windows: &[Matrix], n_cols: usize, n_windows: usize) -> ColumnStats {
+/// Runs the per-column detectors over the first `n_cols` columns.
+fn column_stats(windows: &[Matrix], n_cols: usize, n_windows: usize) -> ColumnStats {
     let mut ks_fracs = Vec::with_capacity(n_cols);
     let mut cdbd_fracs = Vec::with_capacity(n_cols);
     let mut adwin_rates = Vec::with_capacity(n_cols);
@@ -572,105 +390,6 @@ fn full_column_stats(windows: &[Matrix], n_cols: usize, n_windows: usize) -> Col
         hddm_rates.push(hddm_hits as f64 / per_k_items);
     }
     (ks_fracs, cdbd_fracs, adwin_rates, hddm_rates)
-}
-
-/// The incremental per-column loop: each column slides its own multiset
-/// across the windows and feeds the delta detectors. Columns are
-/// independent and pure, so they run under [`parallel_map`], which is
-/// bit-identical to the sequential order at any thread count.
-fn incremental_column_stats(
-    windows: &[Matrix],
-    universes: &[Arc<EcdfUniverse>],
-    n_cols: usize,
-    n_windows: usize,
-) -> ColumnStats {
-    let threads = resolve_threads(None);
-    let per_col = parallel_map(n_cols, threads, |c| {
-        let mut cur = EcdfMultiset::new(Arc::clone(&universes[c]));
-        let mut ks = KsDeltaDetector::new(0.05);
-        let mut cdbd = CdbdDelta::default();
-        let mut adwin = Adwin::new(0.002);
-        let mut hddm = HddmA::default();
-        let mut ks_hits = 0usize;
-        let mut cdbd_hits = 0usize;
-        let mut adwin_hits = 0usize;
-        let mut hddm_hits = 0usize;
-        let mut n_items = 0usize;
-        let mut prev: Option<Vec<f64>> = None;
-        for w in windows {
-            let col = w.col(c);
-            let mut retracted = 0u64;
-            if let Some(p) = &prev {
-                for &v in p {
-                    if cur.remove(v) {
-                        retracted += 1;
-                    }
-                }
-            }
-            let mut absorbed = 0u64;
-            for &v in &col {
-                if cur.insert(v) {
-                    absorbed += 1;
-                }
-            }
-            STATS_DELTA_RETRACTED.add(retracted);
-            STATS_DELTA_ABSORBED.add(absorbed);
-            if ks.update(&cur).is_drift() {
-                ks_hits += 1;
-            }
-            if cdbd.update(&cur).is_drift() {
-                cdbd_hits += 1;
-            }
-            for &v in &col {
-                if !v.is_finite() {
-                    continue;
-                }
-                n_items += 1;
-                // ADWIN and HDDM-A are already streaming (per-item)
-                // detectors; they consume the window in row order on both
-                // paths.
-                let bounded = 0.5 + 0.5 * (v / 4.0).tanh();
-                if adwin.insert(bounded) {
-                    adwin_hits += 1;
-                }
-                if hddm.update(bounded).is_drift() {
-                    hddm_hits += 1;
-                }
-            }
-            prev = Some(col);
-        }
-        let per_window = n_windows.max(1) as f64;
-        let per_k_items = (n_items.max(1)) as f64 / 1000.0;
-        (
-            ks_hits as f64 / per_window,
-            cdbd_hits as f64 / per_window,
-            adwin_hits as f64 / per_k_items,
-            hddm_hits as f64 / per_k_items,
-        )
-    });
-    let mut ks_fracs = Vec::with_capacity(n_cols);
-    let mut cdbd_fracs = Vec::with_capacity(n_cols);
-    let mut adwin_rates = Vec::with_capacity(n_cols);
-    let mut hddm_rates = Vec::with_capacity(n_cols);
-    for (ks, cdbd, adwin, hddm) in per_col {
-        ks_fracs.push(ks);
-        cdbd_fracs.push(cdbd);
-        adwin_rates.push(adwin);
-        hddm_rates.push(hddm);
-    }
-    (ks_fracs, cdbd_fracs, adwin_rates, hddm_rates)
-}
-
-/// Whole-table missing statistics via the popcount delta accumulator —
-/// bit-identical to [`Table::missing_stats`] (both count NaN cells of
-/// the numeric row view).
-fn incremental_missing_stats(table: &Table) -> oeb_tabular::MissingStats {
-    let mut delta = MissingDelta::new(table.n_cols());
-    for r in 0..table.n_rows() {
-        delta.absorb(&table.numeric_row(r));
-    }
-    STATS_DELTA_ABSORBED.add(table.n_rows() as u64);
-    delta.snapshot()
 }
 
 /// Runs the probe model window-by-window, feeding its error stream into
@@ -744,10 +463,14 @@ fn concept_drift_fracs(dataset: &StreamDataset, windows: &[Matrix]) -> (f64, f64
 }
 
 /// Fraction of windows flagged by the PERM resampling test.
-fn perm_fraction(dataset: &StreamDataset, windows: &[Matrix], cfg: &PermConfig) -> f64 {
+fn perm_fraction(dataset: &StreamDataset, windows: &[Matrix]) -> f64 {
     if windows.is_empty() {
         return 0.0;
     }
+    let cfg = PermConfig {
+        n_permutations: PERM_PERMUTATIONS,
+        ..Default::default()
+    };
     let ranges = dataset.windows();
     let mut flagged = 0usize;
     let mut tested = 0usize;
@@ -757,7 +480,7 @@ fn perm_fraction(dataset: &StreamDataset, windows: &[Matrix], cfg: &PermConfig) 
         }
         tested += 1;
         let ys = sample_targets(dataset, &ranges[k], w.rows());
-        let outcome = perm_test(w.rows(), cfg, |train, test| {
+        let outcome = perm_test(w.rows(), &cfg, |train, test| {
             let train_rows: Vec<Vec<f64>> = train.iter().map(|&i| w.row(i).to_vec()).collect();
             let train_ys: Vec<f64> = train.iter().map(|&i| ys[i]).collect();
             let tm = Matrix::from_rows(&train_rows);
@@ -822,7 +545,7 @@ mod tests {
         let entries = registry_scaled(0.04);
         let entry = entries.iter().find(|e| e.spec.name == name).unwrap();
         let d = generate(&entry.spec, 0);
-        extract_stats(&d, &StatsConfig::default())
+        extract_stats(&d)
     }
 
     #[test]
@@ -860,8 +583,8 @@ mod tests {
             .iter()
             .find(|e| e.spec.anomaly_level == Level::Low && e.spec.name == "Safe Driver")
             .unwrap();
-        let sa = extract_stats(&generate(&anomalous.spec, 0), &StatsConfig::default());
-        let sc = extract_stats(&generate(&clean.spec, 0), &StatsConfig::default());
+        let sa = extract_stats(&generate(&anomalous.spec, 0));
+        let sc = extract_stats(&generate(&clean.spec, 0));
         assert!(
             sa.anomaly_score() >= sc.anomaly_score(),
             "anomalous {} clean {}",
@@ -886,46 +609,6 @@ mod tests {
         }
         assert!(s.missing_cells >= 0.0 && s.missing_cells <= 1.0);
         assert!(s.drift_hdddm >= 0.0 && s.drift_hdddm <= 1.0);
-    }
-
-    #[test]
-    fn incremental_mode_matches_full_bitwise() {
-        let entries = registry_scaled(0.04);
-        // One drifting stream, one heavy-missing stream: exercises the
-        // reference slides, empty-window rules and imputation paths.
-        for name in ["Electricity Prices", "Indian Cities Weather Bangalore"] {
-            let entry = entries.iter().find(|e| e.spec.name == name).unwrap();
-            let d = generate(&entry.spec, 0);
-            let full = extract_stats(&d, &StatsConfig::default());
-            let inc = extract_stats(
-                &d,
-                &StatsConfig {
-                    mode: StatsMode::Incremental,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(full.n_windows, inc.n_windows);
-            for ((name_a, a), (_, b)) in full.field_bits().iter().zip(inc.field_bits()) {
-                assert_eq!(
-                    *a,
-                    b,
-                    "{name}: field {name_a} differs ({} vs {})",
-                    f64::from_bits(*a),
-                    f64::from_bits(b)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stats_mode_parses_cli_spellings() {
-        assert_eq!(StatsMode::parse("full"), Some(StatsMode::Full));
-        assert_eq!(
-            StatsMode::parse("incremental"),
-            Some(StatsMode::Incremental)
-        );
-        assert_eq!(StatsMode::parse("delta"), None);
-        assert_eq!(StatsMode::Incremental.label(), "incremental");
     }
 
     #[test]

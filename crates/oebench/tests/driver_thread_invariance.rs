@@ -8,7 +8,7 @@
 //! `set_default_threads`, so two tests in this binary would race on it.
 
 use oeb_core::experiments::{run_experiment, ExpContext};
-use oeb_core::{extract_stats, set_default_threads, OeStats, StatsConfig};
+use oeb_core::{extract_stats, set_default_threads, OeStats};
 use serde_json::{json, Value};
 
 /// `value` without its wall-clock `train_seconds` fields, at any depth.
@@ -90,10 +90,7 @@ fn fanned_out_drivers_are_thread_count_invariant() {
             .iter()
             .position(|e| e.spec.name == name)
             .expect("case-study dataset in registry");
-        let direct = extract_stats(
-            &oeb_synth::generate(&registry[i].spec, 0),
-            &StatsConfig::default(),
-        );
+        let direct = extract_stats(&oeb_synth::generate(&registry[i].spec, 0));
         assert_eq!(cache[i].field_bits(), direct.field_bits(), "{name}");
         assert_eq!(row["drift_score"], json!(direct.drift_score()), "{name}");
         assert_eq!(

@@ -35,15 +35,6 @@ impl Ecod {
         Ecod { sorted, skew }
     }
 
-    /// Assembles a fitted model from pre-sorted per-dimension samples
-    /// (ascending under `total_cmp`, finite values only) — the delta
-    /// pipeline's snapshot path. Skewness is derived from each sorted
-    /// column exactly as [`Ecod::fit`] does.
-    pub fn from_sorted_columns(sorted: Vec<Vec<f64>>) -> Ecod {
-        let skew = sorted.iter().map(|col| skewness(col)).collect();
-        Ecod { sorted, skew }
-    }
-
     /// Left-tail empirical probability `P(X <= x)` with the +1 smoothing
     /// ECOD uses so probabilities never hit zero.
     fn left_tail(&self, c: usize, x: f64) -> f64 {

@@ -12,12 +12,10 @@
     expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
 )]
 
-pub mod delta;
 pub mod ecod;
 pub mod flag;
 pub mod iforest;
 
-pub use delta::EcodDelta;
 pub use ecod::Ecod;
 pub use flag::{anomaly_ratio, flag_by_sigma};
 pub use iforest::{top_score_index, IForestConfig, IsolationForest};

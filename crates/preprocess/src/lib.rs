@@ -12,12 +12,10 @@
     expect(clippy::float_cmp, reason = "tests assert exact deterministic values")
 )]
 
-pub mod delta;
 pub mod encode;
 pub mod impute;
 pub mod scale;
 
-pub use delta::ScalerDelta;
 pub use encode::OneHotEncoder;
 pub use impute::{Imputer, KnnImputer, MeanImputer, RegressionImputer, ZeroImputer};
 pub use scale::{StandardScaler, TargetScaler};

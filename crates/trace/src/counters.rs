@@ -77,13 +77,6 @@ counters! {
     // trace attributes to a (dataset, learner, seed).
     PROFILE_CELLS_ATTRIBUTED = "profile.cells.attributed";
 
-    // Values absorbed into / exactly retracted from maintained statistics,
-    // and batch detector calls taken in incremental mode (kdq-tree,
-    // PCA-CD, IForest and the concept-drift probes have no delta form).
-    STATS_DELTA_ABSORBED = "stats.delta.absorbed";
-    STATS_DELTA_RETRACTED = "stats.delta.retracted";
-    STATS_FULL_FALLBACK = "stats.full.fallback";
-
     // Supervision events. Logical-deadline counts are fixed by the grid
     // and seeds; `supervise.wall.*` counts wall-clock expiries and is
     // outside the schedule-invariance contract.

@@ -4,7 +4,6 @@
 //! (§4.5 of the paper).
 
 use oeb_linalg::Matrix;
-use oeb_tabular::DeltaStat;
 use oeb_trace::counters::TRAIN_HOEFFDING_SPLIT_CHECKS;
 
 /// Online Gaussian estimator (Welford).
@@ -60,13 +59,13 @@ fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Maintained per-leaf class-count aggregates in the [`DeltaStat`]
-/// spirit: the running total, the presence count (classes with a
-/// nonzero count), and the incrementally tracked majority class.
+/// Maintained per-leaf class-count aggregates: the running total, the
+/// presence count (classes with a nonzero count), and the incrementally
+/// tracked majority class.
 ///
 /// Exactness contract (each piece is asserted bitwise by
 /// `leaf_totals_snapshot_matches_batch_rescan`):
-/// * `total` — counts only ever change by `±1.0`, so both the running
+/// * `total` — counts only ever grow by `1.0`, so both the running
 ///   total and any left-to-right re-sum are exact integer arithmetic
 ///   below 2^53 and produce identical bits;
 /// * `majority` — maintained with the first-argmax rule (a class takes
@@ -135,50 +134,6 @@ impl LeafTotals {
                 self.majority = y;
             }
         }
-    }
-
-    fn retract_class(&mut self, y: usize) {
-        self.counts[y] -= 1.0;
-        self.total -= 1.0;
-        if self.counts[y] == 0.0 {
-            self.present -= 1;
-        }
-        // Retraction can demote the incumbent in favour of any class, so
-        // rescan (retraction only happens on the DeltaStat path, never in
-        // the tree's hot loop).
-        self.majority = rescan_majority(&self.counts);
-    }
-}
-
-/// First-index argmax over the counts (the historical majority rule).
-fn rescan_majority(counts: &[f64]) -> usize {
-    let mut best = 0;
-    for (c, &v) in counts.iter().enumerate() {
-        if v > counts[best] {
-            best = c;
-        }
-    }
-    best
-}
-
-impl DeltaStat for LeafTotals {
-    /// `(total, majority, present)`.
-    type Output = (f64, usize, usize);
-
-    /// Absorbs one labelled sample; `row[0]` is the class index.
-    fn absorb(&mut self, row: &[f64]) {
-        let y = (row.first().copied().unwrap_or(0.0) as usize).min(self.counts.len() - 1);
-        self.absorb_class(y);
-    }
-
-    /// Retracts one previously absorbed sample.
-    fn retract(&mut self, row: &[f64]) {
-        let y = (row.first().copied().unwrap_or(0.0) as usize).min(self.counts.len() - 1);
-        self.retract_class(y);
-    }
-
-    fn snapshot(&self) -> (f64, usize, usize) {
-        (self.total, self.majority, self.present)
     }
 }
 
@@ -736,48 +691,49 @@ mod tests {
         assert!(p < 2);
     }
 
-    /// The [`LeafTotals`] delta aggregates (total / majority / presence)
-    /// must match a batch rescan of the raw counts bitwise after any
-    /// absorb/retract sequence.
+    /// First-index argmax over the counts (the historical majority rule).
+    fn rescan_majority(counts: &[f64]) -> usize {
+        let mut best = 0;
+        for (c, &v) in counts.iter().enumerate() {
+            if v > counts[best] {
+                best = c;
+            }
+        }
+        best
+    }
+
+    /// The [`LeafTotals`] aggregates (total / majority / presence) must
+    /// match a batch rescan of the raw counts bitwise after every absorb.
     #[test]
     fn leaf_totals_snapshot_matches_batch_rescan() {
         let n_classes = 5;
         let mut totals = LeafTotals::new(n_classes);
-        let mut live: Vec<Vec<f64>> = Vec::new();
+        let mut counts = vec![0.0f64; n_classes];
         let mut state = 0x9e3779b97f4a7c15u64;
         for step in 0..4000 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let retract = !live.is_empty() && (step % 3 == 2);
-            if retract {
-                let idx = (state >> 33) as usize % live.len();
-                let row = live.swap_remove(idx);
-                totals.retract(&row);
-            } else {
-                let row = vec![((state >> 33) as usize % n_classes) as f64];
-                totals.absorb(&row);
-                live.push(row);
-            }
-            // Batch rescan from the surviving rows.
-            let mut counts = vec![0.0f64; n_classes];
-            for row in &live {
-                counts[row[0] as usize] += 1.0;
-            }
+            // Uniform labels keep the counts close, so the majority
+            // changes hands and ties with lower indices occur often.
+            let y = (state >> 33) as usize % n_classes;
+            totals.absorb_class(y);
+            counts[y] += 1.0;
+            // Batch rescan of the raw counts.
             let total: f64 = counts.iter().sum();
             let present = counts.iter().filter(|&&c| c > 0.0).count();
-            let (t, maj, p) = totals.snapshot();
             assert_eq!(
-                t.to_bits(),
+                totals.total().to_bits(),
                 total.to_bits(),
                 "total diverged at step {step}"
             );
             assert_eq!(
-                maj,
+                totals.majority(),
                 rescan_majority(&counts),
                 "majority diverged at step {step}"
             );
-            assert_eq!(p, present, "presence diverged at step {step}");
+            assert_eq!(totals.present, present, "presence diverged at step {step}");
+            assert_eq!(totals.is_pure(), present <= 1);
             for (c, (&a, &b)) in totals.counts().iter().zip(&counts).enumerate() {
                 assert_eq!(
                     a.to_bits(),

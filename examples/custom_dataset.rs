@@ -52,7 +52,7 @@ fn main() {
     );
 
     // Extract the §4.3 open-environment statistics.
-    let stats = extract_stats(&dataset, &StatsConfig::default());
+    let stats = extract_stats(&dataset);
     println!("\nopen-environment statistics:");
     println!("  missing cells      {:.3}", stats.missing_cells);
     println!("  data-drift score   {:.3}", stats.drift_score());

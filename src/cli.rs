@@ -11,8 +11,7 @@
 
 use oeb_core::{
     extract_stats, resolve_threads, run_chaos_matrix, run_sweep_supervised, try_run_stream,
-    Algorithm, ChaosOptions, HarnessConfig, HarnessError, Scenario, StatsConfig, StatsMode,
-    SupervisePolicy,
+    Algorithm, ChaosOptions, HarnessConfig, HarnessError, Scenario, SupervisePolicy,
 };
 use oeb_synth::Level;
 use std::time::Duration;
@@ -114,11 +113,6 @@ pub struct CliOptions {
     /// Per-cell retry budget before quarantine (`--max-retries`);
     /// `None` keeps the historical fail-fast sweep behaviour.
     pub max_retries: Option<usize>,
-    /// Statistics engine for `stats`/`recommend` (`--stats-mode`):
-    /// batch recomputation per window, or maintained delta statistics.
-    /// Both produce identical scores; the mode lands in the report
-    /// header.
-    pub stats_mode: StatsMode,
 }
 
 /// Usage text.
@@ -145,10 +139,6 @@ options:\n\
                                the deadline is recorded as timed out (exit 13)\n\
   --max-retries N              sweep/chaos: seeded retry budget per cell before\n\
                                quarantine (exit 14); 0 fails fast (default)\n\
-  --stats-mode MODE            stats/recommend: statistics engine, `full` (batch\n\
-                               recompute per window, default) or `incremental`\n\
-                               (maintained delta statistics); scores are\n\
-                               identical either way\n\
   --trace <out.jsonl>          record spans and write them as JSON lines;\n\
                                results are bit-identical with tracing on or off\n\
   --metrics                    print the end-of-run metrics table to stderr";
@@ -181,7 +171,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
     let mut metrics = false;
     let mut cell_deadline: Option<f64> = None;
     let mut max_retries: Option<usize> = None;
-    let mut stats_mode = StatsMode::default();
     let mut scale = 0.25f64;
     let mut seed = 0u64;
     let mut i = 0;
@@ -261,17 +250,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
                     CliError::usage(format!("--max-retries needs an integer\n{USAGE}"))
                 })?);
             }
-            "--stats-mode" => {
-                i += 1;
-                stats_mode = args
-                    .get(i)
-                    .and_then(|v| StatsMode::parse(v))
-                    .ok_or_else(|| {
-                        CliError::usage(format!(
-                            "--stats-mode needs `full` or `incremental`\n{USAGE}"
-                        ))
-                    })?;
-            }
             "--metrics" => metrics = true,
             "--help" | "-h" => return Err(CliError::usage(USAGE)),
             other => positional.push(other),
@@ -315,7 +293,6 @@ pub fn parse(args: &[String]) -> Result<CliOptions, CliError> {
         metrics,
         cell_deadline,
         max_retries,
-        stats_mode,
     })
 }
 
@@ -407,19 +384,12 @@ fn run_command(opts: &CliOptions) -> Result<String, CliError> {
         Command::Stats { name } => {
             let entry = find_entry(name, opts.scale)?;
             let d = oeb_synth::generate(&entry.spec, opts.seed);
-            let cfg = StatsConfig {
-                mode: opts.stats_mode,
-                ..Default::default()
-            };
-            let s = extract_stats(&d, &cfg);
-            // The mode is the report's first line, so equivalence checks
-            // can diff everything below the header.
+            let s = extract_stats(&d);
             Ok(format!(
-                "stats-mode: {}\n{}\n  missing score:  {:.3} (rows {:.3}, cols {:.3}, cells {:.3})\n  \
+                "{}\n  missing score:  {:.3} (rows {:.3}, cols {:.3}, cells {:.3})\n  \
                  data drift:     {:.3} (HDDDM {:.3}, kdq {:.3}, PCA-CD {:.3}, KS avg {:.3})\n  \
                  concept drift:  {:.3} (DDM {:.3}, EDDM {:.3}, ADWIN {:.3}, PERM {:.3})\n  \
                  anomaly score:  {:.3} (ECOD avg {:.3}, IForest avg {:.3})\n",
-                opts.stats_mode.label(),
                 s.name,
                 s.missing_score(),
                 s.missing_rows,
@@ -473,11 +443,7 @@ fn run_command(opts: &CliOptions) -> Result<String, CliError> {
         Command::Recommend { name } => {
             let entry = find_entry(name, opts.scale)?;
             let d = oeb_synth::generate(&entry.spec, opts.seed);
-            let cfg = StatsConfig {
-                mode: opts.stats_mode,
-                ..Default::default()
-            };
-            let s = extract_stats(&d, &cfg);
+            let s = extract_stats(&d);
             let level = |score: f64| {
                 if score > 0.3 {
                     Level::High
@@ -808,56 +774,20 @@ mod tests {
             &["list", "--cell-deadline", "x"],
             &["list", "--max-retries", "-1"],
             &["list", "--max-retries"],
+            &["stats", "ROOM", "--stats-mode", "full"],
         ] {
             assert_eq!(parse(&s(bad)).unwrap_err().code, 2, "args {bad:?}");
         }
     }
 
     #[test]
-    fn parses_stats_mode_flag() {
-        let o = parse(&s(&["stats", "ROOM", "--stats-mode", "incremental"])).unwrap();
-        assert_eq!(o.stats_mode, StatsMode::Incremental);
-        let o = parse(&s(&["stats", "ROOM", "--stats-mode", "full"])).unwrap();
-        assert_eq!(o.stats_mode, StatsMode::Full);
-        let o = parse(&s(&["stats", "ROOM"])).unwrap();
-        assert_eq!(o.stats_mode, StatsMode::Full);
-        assert_eq!(
-            parse(&s(&["stats", "ROOM", "--stats-mode", "nope"]))
-                .unwrap_err()
-                .code,
-            2
-        );
-        assert_eq!(
-            parse(&s(&["stats", "ROOM", "--stats-mode"]))
-                .unwrap_err()
-                .code,
-            2
-        );
-    }
-
-    #[test]
-    fn stats_modes_agree_below_the_header() {
-        let run = |mode: &str| {
-            let o = parse(&s(&[
-                "stats",
-                "ROOM",
-                "--scale",
-                "0.02",
-                "--stats-mode",
-                mode,
-            ]))
-            .unwrap();
-            execute(&o).unwrap()
-        };
-        let full = run("full");
-        let incremental = run("incremental");
-        assert!(full.starts_with("stats-mode: full\n"), "{full}");
-        assert!(
-            incremental.starts_with("stats-mode: incremental\n"),
-            "{incremental}"
-        );
-        let body = |report: &str| report.split_once('\n').map(|(_, b)| b.to_string());
-        assert_eq!(body(&full), body(&incremental));
+    fn stats_report_opens_with_the_dataset_name() {
+        let o = parse(&s(&["stats", "ROOM", "--scale", "0.02"])).unwrap();
+        let report = execute(&o).unwrap();
+        let (header, body) = report.split_once('\n').unwrap();
+        assert_eq!(header, "Room Occupancy Estimation", "{report}");
+        assert!(body.starts_with("  missing score:"), "{report}");
+        assert_eq!(execute(&o).unwrap(), report, "stats must be reproducible");
     }
 
     #[test]

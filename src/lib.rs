@@ -58,8 +58,8 @@ pub mod prelude {
     pub use oeb_core::{
         extract_stats, recommend, run_seeds, run_stream, run_sweep, select_representatives,
         try_run_stream, Algorithm, DegradePolicy, HarnessConfig, HarnessError, ImputerChoice,
-        LearnerConfig, OeStats, OutlierRemoval, RunOutcome, RunResult, Scenario, StatsConfig,
-        StreamLearner, SweepReport,
+        LearnerConfig, OeStats, OutlierRemoval, RunOutcome, RunResult, Scenario, StreamLearner,
+        SweepReport,
     };
     pub use oeb_faults::{FaultInjector, FaultKind, FaultLog, FaultPlan};
     pub use oeb_linalg::Matrix;

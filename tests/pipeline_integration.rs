@@ -29,12 +29,7 @@ fn full_pipeline_stats_selection_evaluation() {
     // Stage 2: extract open-environment statistics for each.
     let stats: Vec<OeStats> = entries
         .iter()
-        .map(|e| {
-            extract_stats(
-                &oebench::synth::generate(&e.spec, 0),
-                &StatsConfig::default(),
-            )
-        })
+        .map(|e| extract_stats(&oebench::synth::generate(&e.spec, 0)))
         .collect();
     for s in &stats {
         assert!(s.n_windows >= 2, "{} has too few windows", s.name);
@@ -106,7 +101,7 @@ fn detectors_fire_on_drifting_streams_not_stationary_ones() {
 
     let score = |entry: &oebench::synth::DatasetEntry| -> f64 {
         let d = oebench::synth::generate(&entry.spec, 0);
-        extract_stats(&d, &StatsConfig::default()).drift_score()
+        extract_stats(&d).drift_score()
     };
     let drift_score = score(drifting);
     let stationary_score = score(stationary);
